@@ -11,8 +11,10 @@
 //	migpipe -script resyn -cachefile npn.cache   # warm-start reruns from disk
 //	migpipe -script BF -in circuit.bench -split   # one job per output cone
 //	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
-//	migpipe -script resyn -k 5                # same script, 5-input functional hashing
-//	migpipe -script resyn -extract            # choice-aware rewriting + global extraction
+//	migpipe -script TFD -in c.bench -verify sat -out opt.bench  # optimize one file, save the result
+//	migpipe -script quick -benchmarks Max -out max.dot  # Graphviz rendering of one result
+//	migpipe -script resyn5                    # resyn plus 5-input functional hashing
+//	migpipe -script resyn-x                   # choice-aware rewriting + global extraction
 //	migpipe -script resyn5 -cachefile npn.cache -synth-budget 2s
 //	migpipe -url http://localhost:8080 -script resyn  # optimize remotely over HTTP
 //	migpipe -script resyn5 -trace trace.json  # Chrome/Perfetto trace of the run
@@ -37,13 +39,19 @@
 // the run, so reruns skip the canonicalizations of previous processes;
 // the optimized graphs are bit-identical warm or cold.
 //
-// With -k 5 (or a *5 script such as resyn5) functional hashing extends
-// to five-leaf cuts: their NPN classes are not precomputed but learned —
+// -script takes a preset or a single pass name of the pass grammar
+// (engine.PassByName): a "5" suffix (resyn5, size5, TF5, TFD5x, …)
+// extends functional hashing to five-leaf cuts, and an "x" suffix
+// (resyn-x, depth-x, TFx, TF5x, …) switches to choice-aware extraction.
+// The NPN classes of five-leaf cuts are not precomputed but learned —
 // synthesized on first contact by the SAT engine under the budget of
 // -synth-conflicts/-synth-budget, memoized by semi-canonical class, and
 // persisted through -cachefile alongside the 4-input cut-cache, so a
-// warm rerun re-synthesizes nothing. -k 5 maps each preset to its
-// 5-input variant (resyn→resyn5, size→size5, TF→TF5, …).
+// warm rerun re-synthesizes nothing.
+//
+// -out saves the optimized graph of a single local job (one -benchmarks
+// name, or -in without -split) in the format its extension names: BENCH
+// for .bench, Graphviz DOT for .dot, the MIG text format otherwise.
 //
 // With -trace the whole run is recorded as Chrome trace-event JSON: one
 // span per job, pipeline, iteration and pass, down to the rewrite phases
@@ -197,8 +205,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
 		url        = flag.String("url", "", "optimize remotely: base URL of a running migserve")
 		retries    = flag.Int("retries", 4, "with -url: extra attempts after a transient failure (connect error, 503, other 5xx); 0 = fail fast")
-		cutWidth   = flag.Int("k", 0, "functional-hashing cut width: 4, or 5 to map the script to its 5-input variant")
-		extractOn  = flag.Bool("extract", false, "map the script to its choice-aware variant: record candidate implementations, extract a globally best cover")
+		out        = flag.String("out", "", "write the optimized graph of a single local job to this file (.bench: BENCH, .dot: DOT, else MIG text)")
 		synthConfl = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
 		synthTime  = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none; trades determinism for latency)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
@@ -209,21 +216,20 @@ func main() {
 		fmt.Println(strings.Join(engine.PresetNames(), "\n"))
 		return
 	}
-	scriptName, err := engine.WidenScript(*script, *cutWidth, *extractOn)
-	if err != nil {
-		log.Fatal(err)
-	}
 	simVerify, satVerify, err := verifyModes(*verify)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := engine.Preset(scriptName)
+	p, err := engine.Preset(*script)
 	if err != nil {
 		log.Fatal(err)
 	}
 	jobs, err := buildJobs(*in, *split, *benchmarks, *prepare)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *out != "" && (*url != "" || len(jobs) > 1) {
+		log.Fatalf("-out saves one local result: it needs a single job (one -benchmarks name, or -in without -split) and no -url")
 	}
 	if len(jobs) == 1 {
 		// A single job cannot use the batch pool, so hand the workers to
@@ -259,7 +265,7 @@ func main() {
 		tracer = obs.New(obs.Options{Retain: true})
 		ctx = obs.ContextWithTracer(ctx, tracer)
 		ctx, rootSpan = obs.Start(ctx, "migpipe")
-		rootSpan.SetStr("script", scriptName)
+		rootSpan.SetStr("script", p.Name)
 	}
 	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl, Timeout: *synthTime})
 	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
@@ -283,7 +289,7 @@ func main() {
 	var results []engine.Result
 	var attempts int
 	if *url != "" {
-		results, attempts, err = runRemote(ctx, *url, scriptName, *workers, *verify, *timeout, *retries, jobs)
+		results, attempts, err = runRemote(ctx, *url, p.Name, *workers, *verify, *timeout, *retries, jobs)
 	} else {
 		results, err = engine.RunBatch(ctx, p, jobs, opt)
 	}
@@ -301,6 +307,12 @@ func main() {
 	}
 	for _, r := range results {
 		if r.Err != nil {
+			failed = true
+		}
+	}
+	if *out != "" && len(results) == 1 && results[0].Err == nil {
+		if err := writeGraph(*out, results[0].M); err != nil {
+			log.Printf("writing %s: %v", *out, err)
 			failed = true
 		}
 	}
@@ -541,6 +553,27 @@ func buildJobs(in string, split bool, benchmarks string, prepare bool) ([]engine
 	}
 	wg.Wait()
 	return jobs, nil
+}
+
+// writeGraph saves m to path in the format its extension names: BENCH
+// for .bench, Graphviz DOT for .dot, the MIG text format otherwise.
+func writeGraph(path string, m *mig.MIG) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	switch {
+	case strings.HasSuffix(path, ".bench"):
+		err = m.WriteBENCH(f)
+	case strings.HasSuffix(path, ".dot"):
+		err = m.WriteDOT(f, "optimized")
+	default:
+		err = m.WriteText(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runRemote submits the jobs to a running migserve as one batch request

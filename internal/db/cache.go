@@ -40,9 +40,8 @@ type cacheShard struct {
 	// hand, and the reference bitmap indexed by key>>6 (1024 possible keys
 	// per shard under the low-6-bit shard split).
 	limit int
-	ring  []uint16
-	hand  int
-	ref   [(1 << 16) / cacheShardCount / 64]uint64
+	clock[uint16]
+	ref [(1 << 16) / cacheShardCount / 64]uint64
 	// Pad shards to their own cache lines so concurrent workers on
 	// different shards do not false-share the mutexes.
 	_ [64]byte
@@ -96,8 +95,7 @@ func (c *Cache) Reset() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.m = make(map[uint16]cacheVal)
-		s.ring = s.ring[:0]
-		s.hand = 0
+		s.clock = clock[uint16]{ring: s.ring[:0]}
 		s.ref = [len(s.ref)]uint64{}
 		s.mu.Unlock()
 	}

@@ -37,13 +37,60 @@ func (c *Cache) SetLimit(n int) {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.limit = per
-		if per > 0 {
-			for len(s.ring) > per {
-				s.evictOne()
-			}
+		for per > 0 && len(s.ring) > per {
+			delete(s.m, s.pop(s.refTestAndClear))
 		}
 		s.mu.Unlock()
 	}
+}
+
+// clock is the second-chance ring shared by the cut-cache shards and the
+// on-demand 5-input store: keys in insertion order and the sweeping
+// hand. The reference bits stay with the owner, whose test-and-clear
+// each eviction takes; the owner's write lock guards the ring.
+type clock[K comparable] struct {
+	ring []K
+	hand int
+}
+
+// sweep advances the hand past every key whose reference bit
+// referenced reports set (clearing it: the key's second chance) and
+// returns the ring index of the first key without one. The ring must not
+// be empty.
+func (c *clock[K]) sweep(referenced func(K) bool) int {
+	for {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		if !referenced(c.ring[c.hand]) {
+			return c.hand
+		}
+		c.hand++
+	}
+}
+
+// push appends key, or, once the ring holds limit keys (limit > 0),
+// evicts the sweep's victim and reuses its slot for key. It reports the
+// victim.
+func (c *clock[K]) push(key K, limit int, referenced func(K) bool) (victim K, evicted bool) {
+	if limit <= 0 || len(c.ring) < limit {
+		c.ring = append(c.ring, key)
+		return victim, false
+	}
+	i := c.sweep(referenced)
+	victim, c.ring[i] = c.ring[i], key
+	c.hand++
+	return victim, true
+}
+
+// pop evicts the sweep's victim and shrinks the ring (the immediate
+// shrink of a lowered limit; the steady state reuses slots instead).
+func (c *clock[K]) pop(referenced func(K) bool) K {
+	i := c.sweep(referenced)
+	victim, last := c.ring[i], len(c.ring)-1
+	c.ring[i] = c.ring[last]
+	c.ring = c.ring[:last]
+	return victim
 }
 
 // insert adds or overwrites key under the shard's write lock, evicting a
@@ -55,51 +102,11 @@ func (s *cacheShard) insert(key uint16, v cacheVal) {
 		s.m[key] = v
 		return
 	}
-	if s.limit > 0 && len(s.ring) >= s.limit {
-		s.evictReuse(key)
-	} else {
-		s.ring = append(s.ring, key)
+	if victim, ok := s.push(key, s.limit, s.refTestAndClear); ok {
+		delete(s.m, victim)
 	}
 	s.m[key] = v
 	s.refClear(key)
-}
-
-// evictReuse evicts the first key the clock hand finds without a second
-// chance and installs newKey in its ring slot.
-func (s *cacheShard) evictReuse(newKey uint16) {
-	for {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		k := s.ring[s.hand]
-		if s.refTestAndClear(k) {
-			s.hand++ // second chance: spare it this sweep
-			continue
-		}
-		delete(s.m, k)
-		s.ring[s.hand] = newKey
-		s.hand++
-		return
-	}
-}
-
-// evictOne evicts one victim and shrinks the ring (SetLimit's path; the
-// steady state reuses slots instead).
-func (s *cacheShard) evictOne() {
-	for {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		k := s.ring[s.hand]
-		if s.refTestAndClear(k) {
-			s.hand++
-			continue
-		}
-		delete(s.m, k)
-		s.ring[s.hand] = s.ring[len(s.ring)-1]
-		s.ring = s.ring[:len(s.ring)-1]
-		return
-	}
 }
 
 // refIndex maps a key of this shard onto its reference-bit index.

@@ -3,9 +3,9 @@ package db
 import "sync/atomic"
 
 // Bounding the on-demand store (the ROADMAP item the cut-cache's
-// SetLimit already solved at K = 4). The store mirrors the cut-cache's
-// second-chance clock: learned classes live in slots carrying a
-// reference bit, the bit is set by read-locked hits, and when the store
+// SetLimit already solved at K = 4). The store runs the cut-cache's
+// second-chance clock (evict.go) over its own reference bits: learned
+// classes live in slots carrying a reference bit, the bit is set by read-locked hits, and when the store
 // is full the clock hand sweeps the ring of keys, granting one second
 // chance (clearing the bit) before evicting the first un-referenced
 // victim. An evicted class is simply re-learned on next contact — the
@@ -47,7 +47,8 @@ func (s *OnDemand) SetLimit(n int) {
 	defer s.mu.Unlock()
 	s.limit = n
 	for s.limit > 0 && len(s.entries) > s.limit {
-		s.evictOneLocked()
+		delete(s.entries, s.pop(s.refTestAndClear))
+		s.evictions.Add(1)
 	}
 }
 
@@ -63,53 +64,16 @@ func (s *OnDemand) insertLocked(key uint32, e *Entry) {
 		sl.ref.Store(false)
 		return
 	}
-	if s.limit > 0 && len(s.entries) >= s.limit {
-		// Reuse the victim's ring slot for the newcomer: the hand has
-		// already advanced past the survivors it pardoned.
-		s.evictReuseLocked(key)
-	} else {
-		s.ring = append(s.ring, key)
+	if victim, ok := s.push(key, s.limit, s.refTestAndClear); ok {
+		delete(s.entries, victim)
+		s.evictions.Add(1)
 	}
 	s.entries[key] = &odSlot{e: e}
 }
 
-// evictReuseLocked runs one clock sweep and installs newKey in the
-// victim's ring slot.
-func (s *OnDemand) evictReuseLocked(newKey uint32) {
-	for {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		k := s.ring[s.hand]
-		if sl := s.entries[k]; sl != nil && sl.ref.Swap(false) {
-			s.hand++ // second chance
-			continue
-		}
-		delete(s.entries, k)
-		s.evictions.Add(1)
-		s.ring[s.hand] = newKey
-		s.hand++
-		return
-	}
-}
-
-// evictOneLocked runs one clock sweep and shrinks the ring (SetLimit's
-// immediate-shrink path).
-func (s *OnDemand) evictOneLocked() {
-	for {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		k := s.ring[s.hand]
-		if sl := s.entries[k]; sl != nil && sl.ref.Swap(false) {
-			s.hand++
-			continue
-		}
-		delete(s.entries, k)
-		s.evictions.Add(1)
-		last := len(s.ring) - 1
-		s.ring[s.hand] = s.ring[last]
-		s.ring = s.ring[:last]
-		return
-	}
+// refTestAndClear reports and clears the reference bit of key's slot.
+// Called with s.mu write-locked.
+func (s *OnDemand) refTestAndClear(key uint32) bool {
+	sl := s.entries[key]
+	return sl != nil && sl.ref.Swap(false)
 }

@@ -122,9 +122,8 @@ type OnDemand struct {
 	canon map[uint32]canonMemo
 
 	// Second-chance clock state (see evict5.go); inert with limit == 0.
-	limit     int
-	ring      []uint32
-	hand      int
+	limit int
+	clock[uint32]
 	evictions atomic.Uint64
 
 	hits     atomic.Uint64 // lookups answered from memory (incl. negative)

@@ -71,11 +71,6 @@ type BatchOptions struct {
 	// Synth5 tunes the per-class synthesis budget of the store RunBatch
 	// creates when Exact5 is nil. Ignored otherwise.
 	Synth5 db.OnDemandOptions
-	// Extract upgrades every top-down rewrite pass of every job to
-	// choice-aware extraction under ExtractObjective (see
-	// Pipeline.Extract). Off leaves the pipeline's own setting in place.
-	Extract          bool
-	ExtractObjective Objective
 	// Progress, when non-nil, is invoked synchronously after every pass of
 	// every job with the job index (into the jobs slice) and that pass's
 	// statistics. Calls for different jobs come from different worker
@@ -115,9 +110,6 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 	run := *p
 	if opt.SharedCache != nil {
 		run.Cache = opt.SharedCache
-	}
-	if opt.Extract {
-		run.Extract, run.ExtractObjective = true, opt.ExtractObjective
 	}
 	if opt.Exact5 != nil {
 		run.Exact5 = opt.Exact5

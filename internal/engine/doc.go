@@ -1,16 +1,18 @@
 // Package engine turns the single-shot optimization passes of this
 // repository into a production-style optimization engine:
 //
-//   - Pass wraps one transformation (the five functional-hashing variants
-//     TF, T, TFD, TD and BF of internal/rewrite, their 5-input extensions
-//     TF5/T5/TFD5/TD5, plus the algebraic depth optimizer of
-//     internal/depthopt) behind a uniform interface.
+//   - Pass wraps one transformation (a functional-hashing configuration
+//     of internal/rewrite, or the algebraic depth optimizer of
+//     internal/depthopt) behind a uniform interface. PassByName resolves
+//     "depthopt" or any name of the rewrite pass grammar: the paper's
+//     TF, T, TFD, TD and BF, with the top-down four suffixed by "5"
+//     (K = 5) and/or "x"/"xd" (choice-aware extraction), e.g. "TF5x".
 //   - Pipeline composes named passes into a script and runs the script to
 //     convergence, keeping the best graph seen and reporting per-pass
 //     statistics. Preset scripts ("resyn", "size", "depth", "resyn5", …)
-//     cover the common flows; custom scripts are built with New.
-//     PresetNames is the single source of truth for what exists — the
-//     CLIs and GET /v1/scripts derive from it.
+//     are one table of pass lists; custom scripts are built with New or
+//     NewScript. PresetNames lists the presets, "depthopt" and the
+//     grammar — the CLIs and GET /v1/scripts derive from it.
 //   - RunBatch optimizes many MIGs concurrently on a bounded worker pool
 //     with deterministic result ordering and context cancellation.
 //

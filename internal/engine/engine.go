@@ -7,7 +7,6 @@ import (
 
 	"mighash/internal/db"
 	"mighash/internal/depthopt"
-	"mighash/internal/extract"
 	"mighash/internal/mig"
 	"mighash/internal/rewrite"
 )
@@ -56,11 +55,6 @@ type passEnv struct {
 	exact5  *db.OnDemand
 	ws      *rewrite.Workspace
 	workers int
-	// extract upgrades every top-down rewrite pass to choice-aware
-	// extraction under extractObj (Pipeline.Extract / BatchOptions /
-	// the HTTP request schema all land here).
-	extract    bool
-	extractObj Objective
 }
 
 // Pass is one named transformation step of a pipeline. The zero value is
@@ -74,8 +68,8 @@ type Pass struct {
 func (p Pass) Name() string { return p.name }
 
 // RewritePass wraps one functional-hashing configuration. The pass name
-// is the paper acronym of opt (rewrite.VariantName, "TF5" etc. for the
-// K = 5 extensions); opt.Cache, opt.Exact5 and opt.Ctx are overridden by
+// is rewrite.VariantName(opt) ("TF", "TF5", "TFx", …); opt.Cache,
+// opt.Exact5, opt.Ctx, opt.Workspace and opt.Workers are overridden by
 // the pipeline's environment.
 func RewritePass(opt rewrite.Options) Pass {
 	name := rewrite.VariantName(opt)
@@ -90,12 +84,6 @@ func RewritePass(opt rewrite.Options) Pass {
 			o.Ctx = env.ctx
 			o.Workspace = env.ws
 			o.Workers = env.workers
-			if env.extract && !o.BottomUp {
-				o.Extract = true
-				if env.extractObj == ObjectiveDepth {
-					o.ExtractObjective = extract.Depth
-				}
-			}
 			res, st := rewrite.Run(m, env.d, o)
 			return res, PassStats{
 				Name:       st.Variant,
@@ -129,40 +117,20 @@ func DepthPass(opt depthopt.Options) Pass {
 	}
 }
 
-// passRegistry maps pass script names to constructors. PassByName and
-// PresetNames both derive from this map, so a pass added here appears in
-// the scripts listing, the CLIs and every "have %v" error at once.
-func passRegistry() map[string]func() Pass {
-	return map[string]func() Pass{
-		"TF":       func() Pass { return RewritePass(rewrite.TF) },
-		"T":        func() Pass { return RewritePass(rewrite.T) },
-		"TFD":      func() Pass { return RewritePass(rewrite.TFD) },
-		"TD":       func() Pass { return RewritePass(rewrite.TD) },
-		"BF":       func() Pass { return RewritePass(rewrite.BF) },
-		"TF5":      func() Pass { return RewritePass(rewrite.TF5) },
-		"T5":       func() Pass { return RewritePass(rewrite.T5) },
-		"TFD5":     func() Pass { return RewritePass(rewrite.TFD5) },
-		"TD5":      func() Pass { return RewritePass(rewrite.TD5) },
-		"TFx":      func() Pass { return RewritePass(rewrite.TFx) },
-		"Tx":       func() Pass { return RewritePass(rewrite.Tx) },
-		"TF5x":     func() Pass { return RewritePass(rewrite.TF5x) },
-		"T5x":      func() Pass { return RewritePass(rewrite.T5x) },
-		"Txd":      func() Pass { return RewritePass(rewrite.Txd) },
-		"depthopt": func() Pass { return DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}) },
-	}
-}
-
-// PassByName resolves the script name of a pass: one of the five paper
-// variants "TF", "T", "TFD", "TD", "BF", their 5-input extensions "TF5",
-// "T5", "TFD5", "TD5" (five-leaf cuts resolved through the on-demand
-// exact-synthesis store), the choice-aware extensions "TFx", "Tx",
-// "TF5x", "T5x" and "Txd" (global extraction over a choice graph
-// instead of greedy per-cut commits), or "depthopt" (the depth
-// optimizer with its default production tuning).
+// PassByName resolves the script name of a pass: "depthopt" (the depth
+// optimizer with its default production tuning) or any name of the
+// rewrite pass grammar (rewrite.ParseVariant): the paper's five variants
+// "TF", "T", "TFD", "TD", "BF", and the top-down ones suffixed with "5"
+// (five-leaf cuts resolved through the on-demand exact-synthesis store)
+// and/or "x" or "xd" (choice-aware extraction under the size or depth
+// objective), such as "TF5", "TFDx" or "TF5xd".
 func PassByName(name string) (Pass, bool) {
-	mk, ok := passRegistry()[name]
+	if name == "depthopt" {
+		return DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}), true
+	}
+	opt, ok := rewrite.ParseVariant(name)
 	if !ok {
 		return Pass{}, false
 	}
-	return mk(), true
+	return RewritePass(opt), true
 }

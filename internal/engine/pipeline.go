@@ -3,9 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime/pprof"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"mighash/internal/db"
@@ -78,15 +78,6 @@ type Pipeline struct {
 	// is how a single large MIG saturates the machine without the logic
 	// duplication of SplitOutputs.
 	Workers int
-	// Extract upgrades every top-down rewrite pass of the script to
-	// choice-aware extraction (rewrite.Options.Extract) regardless of
-	// the pass's own configuration — the way ad-hoc scripts and the HTTP
-	// request schema opt in without renaming passes. Bottom-up passes
-	// are unaffected. Prefer the "-x" presets for the curated scripts.
-	Extract bool
-	// ExtractObjective selects the extraction objective when Extract is
-	// set (default ObjectiveSize).
-	ExtractObjective Objective
 	// PassCheck, when non-nil, is invoked synchronously after every
 	// executed pass with the pass name, the 1-based iteration, and the
 	// graphs before and after the pass. A non-nil error aborts the run
@@ -161,171 +152,75 @@ func NewScript(name string, passNames ...string) (*Pipeline, error) {
 	return p, nil
 }
 
-// presets are the named scripts shipped with the engine.
-func presets() map[string]func() *Pipeline {
-	return map[string]func() *Pipeline{
-		// resyn interleaves cheap and aggressive size passes with a
-		// budgeted depth restructuring, in the spirit of ABC's resyn
-		// scripts and the paper's closing remark on repeated hashing.
-		"resyn": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn",
-				Passes: []Pass{
-					RewritePass(rewrite.TF),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-				},
-			}
-		},
-		// size runs the strongest size variant to fixpoint.
-		"size": func() *Pipeline {
-			return &Pipeline{Name: "size", Passes: []Pass{RewritePass(rewrite.BF)}}
-		},
-		// depth alternates the depth optimizer with depth-preserving
-		// hashing to recover the size it spends.
-		"depth": func() *Pipeline {
-			return &Pipeline{
-				Name:      "depth",
-				Objective: ObjectiveDepth,
-				Passes: []Pass{
-					DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40}),
-					RewritePass(rewrite.TD),
-				},
-			}
-		},
-		// quick is one TF pass: the cheapest useful cleanup.
-		"quick": func() *Pipeline {
-			return &Pipeline{Name: "quick", Passes: []Pass{RewritePass(rewrite.TF)}, MaxIterations: 1}
-		},
-		// resyn5 is resyn with a trailing K = 5 hashing pass: the same
-		// rounds, then five-leaf cuts resolved through the on-demand
-		// exact-synthesis store. Rewrite passes never grow the graph, so
-		// a resyn5 round is never worse than the resyn round it extends
-		// (the exact5-smoke CI job pins this on the suite).
-		"resyn5": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn5",
-				Passes: []Pass{
-					RewritePass(rewrite.TF),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-					RewritePass(rewrite.TF5),
-				},
-			}
-		},
-		// size5 extends the strongest size script with the K = 5 pass.
-		"size5": func() *Pipeline {
-			return &Pipeline{Name: "size5", Passes: []Pass{
-				RewritePass(rewrite.BF),
-				RewritePass(rewrite.TF5),
-			}}
-		},
-		// resyn-x is resyn5 with the greedy top-down passes upgraded to
-		// choice-aware extraction: the same rounds, but the TF and TF5
-		// passes record full candidate menus and commit a globally
-		// selected cover (never worse than their greedy twins, so a
-		// resyn-x round is never worse than the resyn5 round it mirrors;
-		// the extract-smoke CI job pins this on the suite).
-		"resyn-x": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn-x",
-				Passes: []Pass{
-					RewritePass(rewrite.TFx),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-					RewritePass(rewrite.TF5x),
-				},
-			}
-		},
-		// depth-x inserts a depth-objective extraction between the depth
-		// optimizer and the depth-preserving recovery pass.
-		"depth-x": func() *Pipeline {
-			return &Pipeline{
-				Name:      "depth-x",
-				Objective: ObjectiveDepth,
-				Passes: []Pass{
-					DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40}),
-					RewritePass(rewrite.Txd),
-					RewritePass(rewrite.TD),
-				},
-			}
-		},
-	}
+// preset is one shipped script: its passes, objective and iteration cap
+// (0 = the default).
+type preset struct {
+	passes    []Pass
+	objective Objective
+	maxIter   int
 }
 
-// PresetVariant names the widened twins of a base preset: the K = 5
-// extension and the choice-aware extraction script. Empty fields mean
-// the preset has no such twin.
-type PresetVariant struct {
-	Five    string
-	Extract string
+// deepDepthopt is the depth scripts' depth optimizer: it may grow the
+// graph to 8x its gates over up to 40 passes, where the "depthopt" pass
+// name keeps the size scripts' cap of 1.2x over 10.
+var deepDepthopt = DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40})
+
+// presets are the composite scripts shipped with the engine. Passes are
+// stateless, so the table shares them; Preset hands out fresh slices.
+var presets = map[string]preset{
+	// resyn interleaves cheap and aggressive size passes with a budgeted
+	// depth restructuring, in the spirit of ABC's resyn scripts and the
+	// paper's closing remark on repeated hashing.
+	"resyn": {passes: script("TF", "depthopt", "BF", "TFD")},
+	// resyn5 is resyn with a trailing K = 5 hashing pass: the same
+	// rounds, then five-leaf cuts resolved through the on-demand
+	// exact-synthesis store. Rewrite passes never grow the graph, so a
+	// resyn5 round is never worse than the resyn round it extends (the
+	// exact5-smoke CI job pins this on the suite).
+	"resyn5": {passes: script("TF", "depthopt", "BF", "TFD", "TF5")},
+	// resyn-x is resyn5 with its TF and TF5 passes switched to
+	// choice-aware extraction, which is never worse than the greedy pass
+	// it replaces (the extract-smoke CI job pins this on the suite).
+	"resyn-x": {passes: script("TFx", "depthopt", "BF", "TFD", "TF5x")},
+	// size runs the strongest size variant to fixpoint.
+	"size": {passes: script("BF")},
+	// size5 extends the strongest size script with the K = 5 pass.
+	"size5": {passes: script("BF", "TF5")},
+	// depth alternates the depth optimizer with depth-preserving hashing
+	// to recover the size it spends.
+	"depth": {passes: append([]Pass{deepDepthopt}, script("TD")...), objective: ObjectiveDepth},
+	// depth-x inserts a depth-objective extraction between the depth
+	// optimizer and the depth-preserving recovery pass.
+	"depth-x": {passes: append([]Pass{deepDepthopt}, script("Txd", "TD")...), objective: ObjectiveDepth},
+	// quick is one TF pass: the cheapest useful cleanup.
+	"quick": {passes: script("TF"), maxIter: 1},
 }
 
-// PresetVariants is the single source of truth for mapping base presets
-// to their twins; the CLIs' -k 5 and -extract flags and the HTTP
-// service resolve through WidenScript, which consults this table.
-func PresetVariants() map[string]PresetVariant {
-	return map[string]PresetVariant{
-		"resyn": {Five: "resyn5", Extract: "resyn-x"},
-		"size":  {Five: "size5"},
-		"depth": {Extract: "depth-x"},
-	}
-}
-
-// WidenScript maps a script name to the variant selected by the cut
-// width (4 or 5) and the choice-aware extraction toggle. Presets
-// resolve through PresetVariants — an extraction twin already ends in
-// the widest pass it supports, so it subsumes k = 5 — while pass names
-// widen by suffix ("TF" → "TF5" → "TF5x"). Already-suffixed names pass
-// through. The result is validated against Preset, so the error lists
-// the valid scripts.
-func WidenScript(script string, k int, withExtract bool) (string, error) {
-	switch k {
-	case 0, 4, 5:
-	default:
-		return "", fmt.Errorf("unsupported cut width %d (want 4 or 5)", k)
-	}
-	out := script
-	if v, ok := PresetVariants()[script]; ok {
-		switch {
-		case withExtract:
-			out = v.Extract
-		case k == 5:
-			out = v.Five
+// script resolves the pass names of a preset.
+func script(names ...string) []Pass {
+	passes := make([]Pass, len(names))
+	for i, n := range names {
+		pass, ok := PassByName(n)
+		if !ok {
+			panic("engine: preset names unknown pass " + n)
 		}
-		if out == "" {
-			return "", wideningError(script, withExtract)
-		}
-	} else {
-		if k == 5 && !strings.HasSuffix(out, "5") && !strings.HasSuffix(out, "5x") {
-			out += "5"
-		}
-		if withExtract && !strings.HasSuffix(out, "x") && !strings.HasSuffix(out, "xd") {
-			out += "x"
-		}
+		passes[i] = pass
 	}
-	if _, err := Preset(out); err != nil {
-		return "", wideningError(script, withExtract)
-	}
-	return out, nil
+	return passes
 }
 
-func wideningError(script string, withExtract bool) error {
-	if withExtract {
-		return fmt.Errorf("script %q has no choice-aware variant (have %v)", script, PresetNames())
-	}
-	return fmt.Errorf("script %q has no 5-input variant (have %v)", script, PresetNames())
-}
-
-// Preset returns a named script. Besides the composite scripts ("resyn",
-// "size", "depth", "quick"), every pass name accepted by PassByName is a
-// single-pass run-to-convergence script.
+// Preset returns a named script: a composite preset ("resyn", "size",
+// "depth", "quick", …) or any pass name accepted by PassByName as a
+// single-pass run-to-convergence script. Every call returns a fresh
+// pipeline the caller may modify.
 func Preset(name string) (*Pipeline, error) {
-	if f, ok := presets()[name]; ok {
-		return f(), nil
+	if ps, ok := presets[name]; ok {
+		return &Pipeline{
+			Name:          name,
+			Passes:        slices.Clone(ps.passes),
+			Objective:     ps.objective,
+			MaxIterations: ps.maxIter,
+		}, nil
 	}
 	if pass, ok := PassByName(name); ok {
 		return &Pipeline{Name: name, Passes: []Pass{pass}}, nil
@@ -333,19 +228,13 @@ func Preset(name string) (*Pipeline, error) {
 	return nil, fmt.Errorf("engine: unknown script %q (have %v)", name, PresetNames())
 }
 
-// PresetNames lists every name Preset accepts, sorted. This is the
-// single source of truth for "what scripts exist": the CLIs' error
-// messages and the HTTP service's GET /v1/scripts both derive from it,
-// so a preset added here appears everywhere at once.
+// PresetNames lists every name Preset accepts, sorted: the composite
+// presets, "depthopt" and the rewrite pass grammar. The CLIs' error
+// messages and the HTTP service's GET /v1/scripts both derive from it.
 func PresetNames() []string {
-	var names []string
-	for n := range passRegistry() {
-		names = append(names, n)
-	}
-	for n := range presets() {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := append(slices.Collect(maps.Keys(presets)), "depthopt")
+	names = append(names, rewrite.VariantNames()...)
+	slices.Sort(names)
 	return names
 }
 
@@ -392,7 +281,6 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 	env := passEnv{
 		ctx: ctx, d: d, cache: cache, exact5: exact5,
 		ws: rewrite.NewWorkspace(), workers: p.Workers,
-		extract: p.Extract, extractObj: p.ExtractObjective,
 	}
 
 	maxIter := p.MaxIterations

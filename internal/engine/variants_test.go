@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -42,64 +43,67 @@ func TestPresetPassLists(t *testing.T) {
 	}
 }
 
-// TestWidenScript pins the single preset-widening table shared by the
-// CLIs and the HTTP service: cut width 5 and the extraction toggle both
-// resolve through it, for presets and bare pass names alike.
-func TestWidenScript(t *testing.T) {
-	for _, tc := range []struct {
-		script  string
-		k       int
-		extract bool
-		want    string // "" = expect an error
-	}{
-		{"resyn", 0, false, "resyn"},
-		{"resyn", 4, false, "resyn"},
-		{"resyn", 5, false, "resyn5"},
-		{"resyn", 0, true, "resyn-x"},
-		{"resyn", 5, true, "resyn-x"}, // the extract twin already ends in TF5x
-		{"resyn5", 5, false, "resyn5"},
-		{"resyn-x", 0, true, "resyn-x"},
-		{"size", 5, false, "size5"},
-		{"size", 0, true, ""}, // no choice-aware twin
-		{"depth", 0, true, "depth-x"},
-		{"depth", 5, false, ""}, // no 5-input twin
-		{"quick", 5, false, ""},
-		{"TF", 5, false, "TF5"},
-		{"TF", 0, true, "TFx"},
-		{"TF", 5, true, "TF5x"},
-		{"TF5", 0, true, "TF5x"},
-		{"Txd", 0, true, "Txd"},
-		{"TD", 0, true, ""}, // no depth-preserving extraction variant
-		{"resyn", 6, false, ""},
-	} {
-		got, err := WidenScript(tc.script, tc.k, tc.extract)
-		if tc.want == "" {
-			if err == nil {
-				t.Errorf("WidenScript(%q, %d, %v) = %q, want error", tc.script, tc.k, tc.extract, got)
-			}
-			continue
-		}
+// TestPresetNamesResolveUnchanged pins the scripts listing: the eight
+// presets, depthopt and the 25 names of the pass grammar. Every name the
+// listing carried before the grammar existed still runs the pass list it
+// ran then, and every pass a script runs is named by the grammar, so its
+// reported name can be fed back to PassByName.
+func TestPresetNamesResolveUnchanged(t *testing.T) {
+	want := map[string][]string{
+		"BF": {"BF"}, "T": {"T"}, "T5": {"T5"}, "T5x": {"T5x"},
+		"TD": {"TD"}, "TD5": {"TD5"}, "TF": {"TF"}, "TF5": {"TF5"},
+		"TF5x": {"TF5x"}, "TFD": {"TFD"}, "TFD5": {"TFD5"}, "TFx": {"TFx"},
+		"Tx": {"Tx"}, "Txd": {"Txd"},
+		"depth":    {"depthopt", "TD"},
+		"depth-x":  {"depthopt", "Txd", "TD"},
+		"depthopt": {"depthopt"},
+		"quick":    {"TF"},
+		"resyn":    {"TF", "depthopt", "BF", "TFD"},
+		"resyn-x":  {"TFx", "depthopt", "BF", "TFD", "TF5x"},
+		"resyn5":   {"TF", "depthopt", "BF", "TFD", "TF5"},
+		"size":     {"BF"},
+		"size5":    {"BF", "TF5"},
+	}
+	names := PresetNames()
+	if len(names) != 34 {
+		t.Errorf("PresetNames lists %d names, want 34: %v", len(names), names)
+	}
+	listed := map[string]bool{}
+	for _, name := range names {
+		listed[name] = true
+		p, err := Preset(name)
 		if err != nil {
-			t.Errorf("WidenScript(%q, %d, %v): %v", tc.script, tc.k, tc.extract, err)
+			t.Errorf("Preset(%q): %v", name, err)
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("WidenScript(%q, %d, %v) = %q, want %q", tc.script, tc.k, tc.extract, got, tc.want)
+		var got []string
+		for _, pass := range p.Passes {
+			got = append(got, pass.Name())
+			if q, ok := PassByName(pass.Name()); !ok || q.Name() != pass.Name() {
+				t.Errorf("%s runs pass %q, which PassByName does not resolve", name, pass.Name())
+			}
+		}
+		if passes, ok := want[name]; ok && !slices.Equal(got, passes) {
+			t.Errorf("%s runs %v, want %v", name, got, passes)
+		}
+	}
+	for name := range want {
+		if !listed[name] {
+			t.Errorf("PresetNames dropped %q", name)
 		}
 	}
 }
 
-// TestPresetVariantsResolve: every twin named by the table is a real
-// preset, and every base is too.
-func TestPresetVariantsResolve(t *testing.T) {
-	for base, v := range PresetVariants() {
-		for _, name := range []string{base, v.Five, v.Extract} {
-			if name == "" {
-				continue
-			}
-			if _, err := Preset(name); err != nil {
-				t.Errorf("PresetVariants names %q: %v", name, err)
-			}
-		}
+// TestPresetReturnsFreshPasses: a caller editing one Preset's pass list
+// must not change the next caller's script.
+func TestPresetReturnsFreshPasses(t *testing.T) {
+	p, err := Preset("resyn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Passes[0], _ = PassByName("BF")
+	q, _ := Preset("resyn")
+	if q.Passes[0].Name() != "TF" {
+		t.Fatalf("editing one resyn pipeline changed the next: first pass %q", q.Passes[0].Name())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mighash/internal/extract"
 	"mighash/internal/mig"
 	"mighash/internal/tt"
 )
@@ -25,9 +26,9 @@ var choiceVariants = []struct {
 	name string
 	x, g Options
 }{
-	{"TFx", TFx, TF},
-	{"Tx", Tx, T},
-	{"Txd", Txd, T},
+	{"TFx", variant("TFx"), TF},
+	{"Tx", variant("Tx"), T},
+	{"Txd", variant("Txd"), T},
 }
 
 // TestChoicePreservesFunction: choice-aware passes are sound (exhaustive
@@ -70,7 +71,7 @@ func TestChoiceDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 6; round++ {
 		m := randomMIG(rng, 8+rng.Intn(4), 120+rng.Intn(120), 3)
-		opt := TFx
+		opt := variant("TFx")
 		opt.Workers = 1
 		base, bst := Run(m, d, opt)
 		baseText := renderMIG(t, base)
@@ -100,7 +101,7 @@ func TestChoiceRecoversOptimumOnSingleCone(t *testing.T) {
 		if m.Size() <= d.Size(f) {
 			continue
 		}
-		got, st := Run(m, d, Tx)
+		got, st := Run(m, d, variant("Tx"))
 		if want := d.Size(f); st.SizeAfter != want {
 			t.Errorf("f=%v: choice-aware pass reached size %d, optimum %d", f, st.SizeAfter, want)
 		}
@@ -111,16 +112,24 @@ func TestChoiceRecoversOptimumOnSingleCone(t *testing.T) {
 }
 
 // TestChoiceVariantNames pins the acronym scheme for the choice-aware
-// variants.
+// variants in both directions of the pass grammar.
 func TestChoiceVariantNames(t *testing.T) {
 	for _, tc := range []struct {
+		name string
 		opt  Options
-		want string
 	}{
-		{TFx, "TFx"}, {Tx, "Tx"}, {TF5x, "TF5x"}, {T5x, "T5x"}, {Txd, "Txd"},
+		{"TFx", Options{FFR: true, Extract: true}},
+		{"Tx", Options{Extract: true}},
+		{"TF5x", Options{FFR: true, K: 5, Extract: true}},
+		{"T5x", Options{K: 5, Extract: true}},
+		{"Txd", Options{Extract: true, ExtractObjective: extract.Depth}},
+		{"TFD5xd", Options{FFR: true, DepthPreserve: true, K: 5, Extract: true, ExtractObjective: extract.Depth}},
 	} {
-		if got := VariantName(tc.opt); got != tc.want {
-			t.Errorf("VariantName = %q, want %q", got, tc.want)
+		if got := VariantName(tc.opt); got != tc.name {
+			t.Errorf("VariantName(%+v) = %q, want %q", tc.opt, got, tc.name)
+		}
+		if o, ok := ParseVariant(tc.name); !ok || o != tc.opt {
+			t.Errorf("ParseVariant(%q) = %+v, %v, want %+v", tc.name, o, ok, tc.opt)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"mighash/internal/cut"
@@ -113,32 +115,10 @@ var (
 	BF  = Options{BottomUp: true, FFR: true}
 )
 
-// The K = 5 extensions of the top-down variants (the bottom-up variant
-// stays at the paper's width): same traversal, five-leaf cuts resolved
-// through the on-demand store.
-var (
-	TF5  = Options{FFR: true, K: 5}
-	T5   = Options{K: 5}
-	TFD5 = Options{FFR: true, DepthPreserve: true, K: 5}
-	TD5  = Options{DepthPreserve: true, K: 5}
-)
-
-// The choice-aware extensions: same cut evaluation as their greedy
-// twins, but replacements are selected by global extraction over the
-// full choice graph instead of cut by cut. Txd extracts under the depth
-// objective.
-var (
-	TFx  = Options{FFR: true, Extract: true}
-	Tx   = Options{Extract: true}
-	TF5x = Options{FFR: true, K: 5, Extract: true}
-	T5x  = Options{K: 5, Extract: true}
-	Txd  = Options{Extract: true, ExtractObjective: extract.Depth}
-)
-
-// VariantName returns the paper's acronym for o — suffixed with "5" for
-// the K = 5 extensions and "x" (or "xd" under the depth objective) for
-// the choice-aware ones — or a descriptive string for non-paper
-// configurations.
+// VariantName returns the pass name of o: the paper's acronym, suffixed
+// with "5" at cut width 5 and with "x" (or "xd" under the depth
+// objective) for choice-aware extraction. Configurations outside the
+// pass grammar (see ParseVariant) get a descriptive string.
 func VariantName(o Options) string {
 	name := baseVariantName(o)
 	if o.K == 5 {
@@ -153,6 +133,36 @@ func VariantName(o Options) string {
 	}
 	return name
 }
+
+// grammar maps every pass name to its configuration: each top-down
+// variant of the paper (T, TF, TD, TFD) at cut width 4 or 5, greedy or
+// choice-aware under either extraction objective, plus the bottom-up BF,
+// which has neither extension. The names are VariantName's, so the two
+// cannot disagree.
+var grammar = func() map[string]Options {
+	g := map[string]Options{"BF": BF}
+	for _, base := range []Options{T, TF, TD, TFD} {
+		for _, k := range []int{0, 5} {
+			for _, x := range []Options{{}, {Extract: true}, {Extract: true, ExtractObjective: extract.Depth}} {
+				o := base
+				o.K, o.Extract, o.ExtractObjective = k, x.Extract, x.ExtractObjective
+				g[VariantName(o)] = o
+			}
+		}
+	}
+	return g
+}()
+
+// ParseVariant is the inverse of VariantName over the pass grammar: it
+// returns the configuration a pass name spells ("TF", "TFD5", "TF5x",
+// "Txd", …) and false for any other string.
+func ParseVariant(name string) (Options, bool) {
+	o, ok := grammar[name]
+	return o, ok
+}
+
+// VariantNames lists the 25 names ParseVariant accepts, sorted.
+func VariantNames() []string { return slices.Sorted(maps.Keys(grammar)) }
 
 func baseVariantName(o Options) string {
 	switch {

@@ -14,10 +14,10 @@ var variants5 = []struct {
 	name string
 	opt  Options
 }{
-	{"TF5", TF5},
-	{"T5", T5},
-	{"TFD5", TFD5},
-	{"TD5", TD5},
+	{"TF5", variant("TF5")},
+	{"T5", variant("T5")},
+	{"TFD5", variant("TFD5")},
+	{"TD5", variant("TD5")},
 }
 
 // store5 returns an on-demand store with a small deterministic budget so
@@ -68,7 +68,7 @@ func TestVariants5NeverWorseThanK4(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		m := randomMIG(rng, 6+rng.Intn(3), 80+rng.Intn(80), 2)
 		base, st4 := Run(m, d, TF)
-		opt := TF5
+		opt := variant("TF5")
 		opt.Exact5 = s
 		got, st5 := Run(m, d, opt)
 		if st5.SizeAfter > st4.SizeAfter {
@@ -90,7 +90,7 @@ func TestParallel5Deterministic(t *testing.T) {
 		shared := store5()
 		var want string
 		for _, workers := range []int{1, 2, 4, 7} {
-			opt := TF5
+			opt := variant("TF5")
 			opt.Exact5 = shared
 			opt.Workers = workers
 			got, _ := Run(m, d, opt)
@@ -106,7 +106,7 @@ func TestParallel5Deterministic(t *testing.T) {
 		}
 		// Fresh store, serial run: the learned-database content must not
 		// depend on scheduling either.
-		opt := TF5
+		opt := variant("TF5")
 		opt.Exact5 = store5()
 		got, _ := Run(m, d, opt)
 		var b strings.Builder
@@ -128,7 +128,7 @@ func TestRewrite5CancelledContextStaysSound(t *testing.T) {
 	m := randomMIG(rng, 6, 120, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := TF5
+	opt := variant("TF5")
 	opt.Exact5 = store5()
 	opt.Ctx = ctx
 	got, _ := Run(m, d, opt)

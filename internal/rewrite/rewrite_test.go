@@ -209,13 +209,61 @@ func TestBottomUpRequiresFFR(t *testing.T) {
 	Run(m, d, Options{BottomUp: true})
 }
 
-// TestVariantNames pins the acronym mapping used in reports.
+// TestVariantNames pins the pass grammar: ParseVariant inverts
+// VariantName on every one of the 25 names (the paper's five acronyms,
+// the top-down ones at K = 5 and with choice-aware extraction under
+// either objective), and rejects everything outside it.
 func TestVariantNames(t *testing.T) {
 	for _, v := range variants {
 		if got := VariantName(v.opt); got != v.name {
 			t.Errorf("VariantName = %q, want %q", got, v.name)
 		}
 	}
+	names := VariantNames()
+	if len(names) != 25 {
+		t.Fatalf("grammar has %d names, want 25: %v", len(names), names)
+	}
+	for _, name := range names {
+		o, ok := ParseVariant(name)
+		if !ok {
+			t.Errorf("ParseVariant(%q) rejected a listed name", name)
+			continue
+		}
+		if got := VariantName(o); got != name {
+			t.Errorf("VariantName(ParseVariant(%q)) = %q", name, got)
+		}
+		if back, _ := ParseVariant(VariantName(o)); back != o {
+			t.Errorf("ParseVariant(VariantName(%+v)) = %+v", o, back)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"TF5", Options{FFR: true, K: 5}},
+		{"TD5", Options{DepthPreserve: true, K: 5}},
+	} {
+		if got := VariantName(tc.opt); got != tc.name {
+			t.Errorf("VariantName(%+v) = %q, want %q", tc.opt, got, tc.name)
+		}
+		if o, ok := ParseVariant(tc.name); !ok || o != tc.opt {
+			t.Errorf("ParseVariant(%q) = %+v, %v, want %+v", tc.name, o, ok, tc.opt)
+		}
+	}
+	for _, bad := range []string{"BF5", "BFx", "B", "TFDX", "x", "", "depthopt", "TF55", "TFxx", "tf"} {
+		if o, ok := ParseVariant(bad); ok {
+			t.Errorf("ParseVariant(%q) = %+v, want rejection", bad, o)
+		}
+	}
+}
+
+// variant resolves a grammar name, for tests that run one configuration.
+func variant(name string) Options {
+	o, ok := ParseVariant(name)
+	if !ok {
+		panic("rewrite: no variant " + name)
+	}
+	return o
 }
 
 // TestStatsString smoke-checks the report formatting.

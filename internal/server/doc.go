@@ -14,8 +14,9 @@
 //
 // Requests name a preset script ("resyn", "size", "depth", "quick",
 // "resyn5", any single pass) or spell out a custom pass list — the
-// listing at GET /v1/scripts is derived from the engine's preset
-// registry, so it is always exactly what the optimizer accepts; the
+// listing at GET /v1/scripts is engine.PresetNames (the preset table,
+// depthopt and the pass grammar), so it is always exactly what the
+// optimizer accepts; the
 // service runs the script to convergence with engine.RunBatch and
 // returns results in job order.
 // Setting "stream": true switches the response to application/x-ndjson:

@@ -19,9 +19,11 @@ import (
 
 	"mighash/internal/db"
 	"mighash/internal/engine"
+	"mighash/internal/extract"
 	"mighash/internal/fault"
 	"mighash/internal/mig"
 	"mighash/internal/obs"
+	"mighash/internal/rewrite"
 	"mighash/internal/sim/diff"
 )
 
@@ -440,11 +442,14 @@ type OptimizeRequest struct {
 
 // ScriptSpec selects the optimization pipeline of a request.
 type ScriptSpec struct {
-	// Script names a preset ("resyn", "size", "depth", "quick", or any
-	// single pass name). Default "resyn". Ignored when Passes is set.
+	// Script names a preset ("resyn", "size", "depth", "quick", …, or any
+	// single pass name; GET /v1/scripts lists them). Default "resyn".
+	// Ignored when Passes is set.
 	Script string `json:"script,omitempty"`
-	// Passes builds a custom script from pass names ("TF", "T", "TFD",
-	// "TD", "BF", "depthopt"), run in order to convergence.
+	// Passes builds a custom script from pass names, run in order to
+	// convergence: "depthopt" or any name of the pass grammar ("TF",
+	// "BF", "TFD5", "TFx", "TDxd", …; see engine.PassByName). Every name
+	// a response reports in its per-pass stats is accepted here.
 	Passes []string `json:"passes,omitempty"`
 	// MaxIterations caps the script rounds (default: the engine's 10).
 	MaxIterations int `json:"max_iterations,omitempty"`
@@ -452,13 +457,17 @@ type ScriptSpec struct {
 	// server's MaxWorkersPerRequest. Results are bit-identical at any
 	// value.
 	Workers int `json:"workers,omitempty"`
-	// Extract upgrades every top-down rewrite pass of the script to
-	// choice-aware extraction: candidate menus per cut, one globally
-	// selected cover, never worse than the greedy pass it replaces.
-	// Equivalent to picking an "-x" preset (e.g. "resyn-x") by name.
+	// Extract switches every top-down rewrite pass of the script to its
+	// choice-aware form in the pass grammar ("TF" → "TFx", "TFD5" →
+	// "TFD5x"): candidate menus per cut, one globally selected cover,
+	// never worse than the greedy pass it replaces. depthopt and BF run
+	// unchanged. This is not the same script as an "-x" preset: "resyn"
+	// with Extract runs TFx, depthopt, BF, TFDx, while "resyn-x" runs
+	// TFx, depthopt, BF, TFD, TF5x.
 	Extract bool `json:"extract,omitempty"`
-	// ExtractObjective selects the extraction objective when Extract is
-	// set: "size" (default) or "depth".
+	// ExtractObjective selects the extraction objective and implies
+	// Extract: "size" (default) or "depth", which names the passes with
+	// "xd" ("TF" → "TFxd").
 	ExtractObjective string `json:"extract_objective,omitempty"`
 }
 
@@ -661,16 +670,30 @@ func (s *Server) pipeline(spec ScriptSpec) (*engine.Pipeline, error) {
 		workers = limit
 	}
 	p.Workers = workers
+	depth := false
 	switch spec.ExtractObjective {
-	case "":
-	case "size":
+	case "", "size":
 	case "depth":
-		p.ExtractObjective = engine.ObjectiveDepth
+		depth = true
 	default:
 		return nil, fmt.Errorf(`unknown extract_objective %q (want "size" or "depth")`, spec.ExtractObjective)
 	}
 	if spec.Extract || spec.ExtractObjective != "" {
-		p.Extract = true
+		// Re-resolve each top-down rewrite pass through the grammar as
+		// its choice-aware form; depthopt and BF have none. The depth
+		// objective is imposed, the size objective never overrides a
+		// pass already extracting under depth ("Txd" stays "Txd").
+		for i, pass := range p.Passes {
+			opt, ok := rewrite.ParseVariant(pass.Name())
+			if !ok || opt.BottomUp {
+				continue
+			}
+			opt.Extract = true
+			if depth {
+				opt.ExtractObjective = extract.Depth
+			}
+			p.Passes[i] = engine.RewritePass(opt)
+		}
 	}
 	return p, nil
 }

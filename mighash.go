@@ -20,10 +20,10 @@
 // on-demand 5-input hashing: Canonize5 semi-canonicalizes 5-variable
 // functions without the exhaustive transform sweep, and an Exact5Store
 // learns each class's minimum MIG by budgeted exact synthesis on first
-// contact (the TF5/T5/TFD5/TD5 variants and resyn5/size5 scripts),
+// contact (the K = 5 passes such as TF5 and the resyn5/size5 scripts),
 // persisting the learned database across processes alongside the
-// cut-cache. Choice-aware extraction (the x-variants and the resyn-x /
-// depth-x scripts) replaces the greedy per-cut commit with a two-phase
+// cut-cache. Choice-aware extraction (the x passes such as TFx and the
+// resyn-x / depth-x scripts) replaces the greedy per-cut commit with a two-phase
 // scheme: record every profitable (cut, candidate) pair into a choice
 // graph, then extract a globally best cover under a size or depth
 // objective — never worse than the greedy result, often strictly
@@ -198,7 +198,10 @@ type (
 )
 
 // The five paper variants: Top-down/Bottom-up, Fanout-free regions,
-// Depth-preserving.
+// Depth-preserving. Their extensions are orthogonal RewriteOptions
+// fields — K = 5 for five-leaf cuts resolved through the on-demand
+// exact-synthesis store (RewriteOptions.Exact5), Extract for choice-aware
+// extraction — and PipelinePass names every combination.
 var (
 	VariantTF  = rewrite.TF
 	VariantT   = rewrite.T
@@ -207,18 +210,8 @@ var (
 	VariantBF  = rewrite.BF
 )
 
-// The 5-input extensions of the top-down variants: five-leaf cuts
-// resolved through the on-demand exact-synthesis store
-// (RewriteOptions.Exact5).
-var (
-	VariantTF5  = rewrite.TF5
-	VariantT5   = rewrite.T5
-	VariantTFD5 = rewrite.TFD5
-	VariantTD5  = rewrite.TD5
-)
-
 // Choice-aware extraction (internal/extract + internal/rewrite; beyond
-// the paper): the x-variants do not commit each profitable cut
+// the paper): the x passes do not commit each profitable cut
 // greedily — they record every profitable (cut, candidate) pair into a
 // choice graph and extract a globally best cover over the whole graph
 // (e-graph extraction specialized to the rewriter). The extracted
@@ -233,16 +226,6 @@ type ExtractObjective = extract.Objective
 const (
 	ExtractSize  = extract.Size
 	ExtractDepth = extract.Depth
-)
-
-// The choice-aware (x) variants of the top-down rewriters, driven by
-// the resyn-x and depth-x preset scripts.
-var (
-	VariantTFx  = rewrite.TFx
-	VariantTx   = rewrite.Tx
-	VariantTF5x = rewrite.TF5x
-	VariantT5x  = rewrite.T5x
-	VariantTxd  = rewrite.Txd
 )
 
 // Optimize applies one functional-hashing pass, returning a fresh
@@ -326,8 +309,10 @@ var PipelineScript = engine.Preset
 // PipelineScripts lists every preset script name.
 var PipelineScripts = engine.PresetNames
 
-// PipelinePass resolves a pass by script name (TF, T, TFD, TD, BF,
-// depthopt).
+// PipelinePass resolves a pass by script name: depthopt, or one of the
+// 25 names of the pass grammar — TF, T, TFD, TD, BF, and the top-down
+// four suffixed with 5 (K = 5) and/or x or xd (choice-aware extraction
+// under the size or depth objective), such as TF5, TFDx or TF5xd.
 var PipelinePass = engine.PassByName
 
 // RunBatch optimizes many MIGs concurrently on a bounded worker pool with
