@@ -1,10 +1,7 @@
 package db
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -58,9 +55,8 @@ func TestEnsureAlts(t *testing.T) {
 }
 
 // TestOnDemandAltMenuSurvivesSnapshot: a learned class's alternative
-// menu is deterministic, travels through the v3 snapshot, and a v2
-// stream of the same class re-derives the identical menu on load — so
-// warm stores offer exactly the candidates cold ones do.
+// menu is deterministic and travels through the snapshot — so warm
+// stores offer exactly the candidates cold ones do.
 func TestOnDemandAltMenuSurvivesSnapshot(t *testing.T) {
 	s := NewOnDemand(OnDemandOptions{})
 	for _, f := range []tt.TT{and5(), majority5()} {
@@ -90,39 +86,6 @@ func TestOnDemandAltMenuSurvivesSnapshot(t *testing.T) {
 		return m
 	}
 	if !reflect.DeepEqual(menus(entries), menus(warmEntries)) {
-		t.Fatal("v3 snapshot changed an alternative menu")
-	}
-
-	// Hand-build a v2 stream (primary structures only, no nalts field)
-	// and check the loader re-derives the same menus.
-	var payload bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	wu := func(v uint64) { payload.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	payload.WriteString(snapshotMagic)
-	payload.WriteByte(2)
-	wu(uint64(len(entries)))
-	for _, e := range entries {
-		payload.WriteByte(recClass5)
-		wu(e.Rep.Bits)
-		wu(uint64(len(e.Gates)))
-		wu(uint64(e.Out))
-		for _, g := range e.Gates {
-			wu(uint64(g[0]))
-			wu(uint64(g[1]))
-			wu(uint64(g[2]))
-		}
-		wu(uint64(e.GenTime.Microseconds()))
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload.Bytes()))
-	payload.Write(sum[:])
-
-	v2 := NewOnDemand(OnDemandOptions{})
-	if _, err := ReadSnapshot(bytes.NewReader(payload.Bytes()), nil, nil, v2); err != nil {
-		t.Fatal(err)
-	}
-	v2Entries, _ := v2.snapshotState()
-	if !reflect.DeepEqual(menus(entries), menus(v2Entries)) {
-		t.Fatal("v2 restore derived different alternative menus than the cold store")
+		t.Fatal("snapshot changed an alternative menu")
 	}
 }

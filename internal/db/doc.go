@@ -29,8 +29,9 @@
 //
 // Both structures outlive the process: WriteSnapshot/ReadSnapshot
 // (persist.go) serialize them as one versioned, checksummed binary
-// stream of width-tagged varint records (format v2; v1 cache-only
-// snapshots are still read), and SaveSnapshotFile/LoadSnapshotFile wrap
+// stream of width-tagged varint records (format version 3, the only one
+// read; it carries the learned classes' alternative menus), and
+// SaveSnapshotFile/LoadSnapshotFile wrap
 // that in an atomic write-temp-then-rename file protocol. Snapshots hold
 // no pointers — a cache record names its NPN class by representative and
 // Restore rebinds it through the loading process's DB, verifying the

@@ -39,7 +39,7 @@ type Entry struct {
 	// strictly shallower than the minimum-size entry above, at the price
 	// of extra gates). The choice-aware rewriter records one candidate
 	// per alternative; the greedy variants ignore them. Alternatives are
-	// derived algebraically (see deriveAlts) or restored from a v3
+	// derived algebraically (see deriveAlts) or restored from a
 	// snapshot, and are always verified by simulation against Rep.
 	Alts []Entry
 }

@@ -36,19 +36,18 @@ import (
 //	                   1..5 = x1..x5, 6+l = gate l)
 //	    gates k × 3 uvarint fanin literals, topological order
 //	    us    uvarint  synthesis time in µs
-//	    nalts uvarint  alternative implementations (version ≥ 3 only;
-//	                   at most maxAltsPerEntry)
+//	    nalts uvarint  alternative implementations (at most
+//	                   maxAltsPerEntry)
 //	    alts  nalts ×  k / out / gates triples as above — the class's
 //	                   strictly shallower tradeoff candidates
 //	  kind 3 — negative-cached 5-input class (budget blown):
 //	    rep   uvarint  the 32-bit semi-canonical class representative
 //	crc     4 bytes  little-endian IEEE CRC-32 of everything above
 //
-// Version 2 (kind 2 records without the alternative menus) and version 1
-// (no kind tags, 4-input records only) are still decoded, so
-// pre-existing cache files keep warm-starting after an upgrade; menus
-// missing from an old stream are re-derived on load, so a warm store
-// offers the same candidates a cold one would.
+// Only the current version is decoded. A snapshot of an older version
+// (1: no kind tags, 4-input records only; 2: kind 2 records without the
+// alternative menus) is rejected like a corrupt one, so the process
+// starts cold and the next save rewrites the file in the current format.
 //
 // The format stores no pointers and no process-local state: kind-1
 // records name their class by representative and Restore rebinds them to
@@ -270,9 +269,8 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 	if string(head[:3]) != snapshotMagic {
 		return 0, fmt.Errorf("%w: bad magic %q", ErrSnapshot, head[:3])
 	}
-	version := head[3]
-	if version < 1 || version > snapshotVersion {
-		return 0, fmt.Errorf("%w: unsupported version %d (want ≤ %d)", ErrSnapshot, version, snapshotVersion)
+	if version := head[3]; version != snapshotVersion {
+		return 0, fmt.Errorf("%w: unsupported version %d (want %d)", ErrSnapshot, version, snapshotVersion)
 	}
 	count, err := binary.ReadUvarint(cr)
 	if err != nil {
@@ -326,7 +324,7 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return nil
 	}
 	// readBody decodes one k/out/gates implementation body — shared by
-	// the primary structure and (version ≥ 3) its alternatives.
+	// the primary structure and its alternatives.
 	readBody := func(i uint64, rep tt.TT) (Entry, error) {
 		k, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -376,21 +374,19 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 		}
 		e.GenTime = time.Duration(us) * time.Microsecond
-		if version >= 3 {
-			nalts, err := binary.ReadUvarint(cr)
+		nalts, err := binary.ReadUvarint(cr)
+		if err != nil {
+			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
+		}
+		if nalts > maxAltsPerEntry {
+			return fmt.Errorf("%w: record %d has %d alternatives (max %d)", ErrSnapshot, i, nalts, maxAltsPerEntry)
+		}
+		for a := uint64(0); a < nalts; a++ {
+			alt, err := readBody(i, e.Rep)
 			if err != nil {
-				return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
+				return err
 			}
-			if nalts > maxAltsPerEntry {
-				return fmt.Errorf("%w: record %d has %d alternatives (max %d)", ErrSnapshot, i, nalts, maxAltsPerEntry)
-			}
-			for a := uint64(0); a < nalts; a++ {
-				alt, err := readBody(i, e.Rep)
-				if err != nil {
-					return err
-				}
-				e.Alts = append(e.Alts, alt)
-			}
+			e.Alts = append(e.Alts, alt)
 		}
 		if s == nil {
 			return nil // structurally validated, but no store to feed
@@ -413,11 +409,6 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 			}
 			alt.analyze()
 		}
-		if version < 3 {
-			// Old stream: the menu was never persisted. Re-derive it so a
-			// warm store offers exactly the candidates a cold one would.
-			e.Alts = deriveAlts(&e)
-		}
 		learned = append(learned, e)
 		return nil
 	}
@@ -439,11 +430,9 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return nil
 	}
 	for i := uint64(0); i < count; i++ {
-		kind := byte(recCache4)
-		if version >= 2 {
-			if kind, err = cr.ReadByte(); err != nil {
-				return 0, fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
-			}
+		kind, err := cr.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 		}
 		switch kind {
 		case recCache4:

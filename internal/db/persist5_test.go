@@ -131,49 +131,3 @@ func TestRestoreRejectsTamperedClass5(t *testing.T) {
 		t.Fatalf("tampered restore left %d/%d classes installed", s2.Len(), s2.NegativeLen())
 	}
 }
-
-// TestRestoreReadsVersion1: pre-upgrade snapshots (no kind tags) still
-// warm-start the 4-input cache.
-func TestRestoreReadsVersion1(t *testing.T) {
-	d := load(t)
-	c := NewCache()
-	populate(t, d, c, 500, 43)
-	// Hand-build a v1 snapshot from the live cache contents.
-	var payload bytes.Buffer
-	type rec struct {
-		key uint16
-		v   cacheVal
-	}
-	var recs []rec
-	for i := range c.shards {
-		sh := &c.shards[i]
-		for k, v := range sh.m {
-			if v.ok {
-				recs = append(recs, rec{k, v})
-			}
-		}
-	}
-	payload.WriteString(snapshotMagic)
-	payload.WriteByte(1)
-	var tmp [binary.MaxVarintLen64]byte
-	wu := func(v uint64) { payload.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	wu(uint64(len(recs)))
-	for _, r := range recs {
-		wu(uint64(r.key))
-		payload.WriteByte(packFlags(r.v.t, true))
-		payload.WriteByte(packPerm(r.v.t))
-		wu(uint64(r.v.entry.Rep.Bits))
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload.Bytes()))
-	payload.Write(sum[:])
-
-	c2 := NewCache()
-	n, err := c2.Restore(bytes.NewReader(payload.Bytes()), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(recs) || c2.Len() != len(recs) {
-		t.Fatalf("v1 restore installed %d records, want %d", n, len(recs))
-	}
-}

@@ -2,7 +2,9 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -115,8 +117,44 @@ func TestSnapshotRebindsAcrossDBs(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruption: version skew, bad magic, truncation, a
-// flipped byte, and garbage all error out and leave the cache cold.
+// legacySnapshot re-encodes c's 4-input records as a well-formed,
+// checksummed stream of a retired format version: 1 (no kind tags) or 2
+// (kind-tagged records), so rejecting it exercises the version check
+// alone.
+func legacySnapshot(c *Cache, version byte) []byte {
+	var body bytes.Buffer
+	var tmp [binary.MaxVarintLen64]byte
+	wu := func(v uint64) { body.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
+	n := 0
+	for i := range c.shards {
+		for k, v := range c.shards[i].m {
+			if !v.ok {
+				continue
+			}
+			if version == 2 {
+				body.WriteByte(recCache4)
+			}
+			wu(uint64(k))
+			body.WriteByte(packFlags(v.t, true))
+			body.WriteByte(packPerm(v.t))
+			wu(uint64(v.entry.Rep.Bits))
+			n++
+		}
+	}
+	var out bytes.Buffer
+	out.WriteString(snapshotMagic)
+	out.WriteByte(version)
+	out.Write(tmp[:binary.PutUvarint(tmp[:], uint64(n))])
+	out.Write(body.Bytes())
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out.Bytes()))
+	out.Write(sum[:])
+	return out.Bytes()
+}
+
+// TestRestoreRejectsCorruption: version skew (including the retired
+// versions 1 and 2), bad magic, truncation, a flipped byte, and garbage
+// all error out and leave the cache and the store cold.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	d := mustLoad(t)
 	c := NewCache()
@@ -132,6 +170,8 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		"bad magic": append([]byte("XXX\x01"), good[4:]...),
 		"version skew": append([]byte(snapshotMagic+"\x63"),
 			good[4:]...),
+		"version 1":        legacySnapshot(c, 1),
+		"version 2":        legacySnapshot(c, 2),
 		"truncated header": good[:2],
 		"truncated body":   good[:len(good)/2],
 		"missing checksum": good[:len(good)-4],
@@ -143,16 +183,18 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 
 	for name, data := range cases {
 		warm := NewCache()
-		n, err := warm.Restore(bytes.NewReader(data), d)
+		store := NewOnDemand(OnDemandOptions{})
+		n, err := ReadSnapshot(bytes.NewReader(data), d, warm, store)
 		if err == nil {
-			t.Errorf("%s: Restore accepted corrupt input (%d entries)", name, n)
+			t.Errorf("%s: ReadSnapshot accepted corrupt input (%d entries)", name, n)
 			continue
 		}
 		if !errors.Is(err, ErrSnapshot) {
 			t.Errorf("%s: error %v does not wrap ErrSnapshot", name, err)
 		}
-		if warm.Len() != 0 {
-			t.Errorf("%s: corrupt restore left %d entries in the cache", name, warm.Len())
+		if warm.Len() != 0 || store.Len() != 0 || store.NegativeLen() != 0 {
+			t.Errorf("%s: corrupt restore left %d cache entries, %d/%d classes",
+				name, warm.Len(), store.Len(), store.NegativeLen())
 		}
 	}
 }

@@ -8,7 +8,8 @@
 //     TF, T, TFD, TD and BF, with the top-down four suffixed by "5"
 //     (K = 5) and/or "x"/"xd" (choice-aware extraction), e.g. "TF5x".
 //   - Pipeline composes named passes into a script and runs the script to
-//     convergence, keeping the best graph seen and reporting per-pass
+//     convergence, keeping the best graph seen under its extract.Objective
+//     (size then depth, or depth then size) and reporting per-pass
 //     statistics. Preset scripts ("resyn", "size", "depth", "resyn5", …)
 //     are one table of pass lists; custom scripts are built with New or
 //     NewScript. PresetNames lists the presets, "depthopt" and the

@@ -10,36 +10,11 @@ import (
 
 	"mighash/internal/db"
 	"mighash/internal/depthopt"
+	"mighash/internal/extract"
 	"mighash/internal/mig"
 	"mighash/internal/obs"
 	"mighash/internal/rewrite"
 )
-
-// Objective selects the convergence metric of a pipeline.
-type Objective int
-
-const (
-	// ObjectiveSize minimizes (size, depth) lexicographically — the
-	// paper's setting: functional hashing for size, depth as tiebreak.
-	ObjectiveSize Objective = iota
-	// ObjectiveDepth minimizes (depth, size) lexicographically.
-	ObjectiveDepth
-)
-
-func (o Objective) String() string {
-	if o == ObjectiveDepth {
-		return "depth"
-	}
-	return "size"
-}
-
-// better reports whether cost a = (size, depth) beats cost b under o.
-func (o Objective) better(aSize, aDepth, bSize, bDepth int) bool {
-	if o == ObjectiveDepth {
-		return aDepth < bDepth || (aDepth == bDepth && aSize < bSize)
-	}
-	return aSize < bSize || (aSize == bSize && aDepth < bDepth)
-}
 
 // Pipeline is a composable optimization script: an ordered list of passes
 // run repeatedly until the script stops improving the graph. A Pipeline
@@ -50,8 +25,10 @@ type Pipeline struct {
 	Name string
 	// Passes is the script body, executed in order each iteration.
 	Passes []Pass
-	// Objective selects the convergence metric (default ObjectiveSize).
-	Objective Objective
+	// Objective selects the convergence metric: (size, depth)
+	// lexicographically under extract.Size, the default and the paper's
+	// setting, or (depth, size) under extract.Depth.
+	Objective extract.Objective
 	// MaxIterations caps the number of script rounds (default 10). The
 	// pipeline stops earlier as soon as a full round fails to improve the
 	// best cost seen, which is the common exit.
@@ -156,7 +133,7 @@ func NewScript(name string, passNames ...string) (*Pipeline, error) {
 // (0 = the default).
 type preset struct {
 	passes    []Pass
-	objective Objective
+	objective extract.Objective
 	maxIter   int
 }
 
@@ -188,10 +165,10 @@ var presets = map[string]preset{
 	"size5": {passes: script("BF", "TF5")},
 	// depth alternates the depth optimizer with depth-preserving hashing
 	// to recover the size it spends.
-	"depth": {passes: append([]Pass{deepDepthopt}, script("TD")...), objective: ObjectiveDepth},
+	"depth": {passes: append([]Pass{deepDepthopt}, script("TD")...), objective: extract.Depth},
 	// depth-x inserts a depth-objective extraction between the depth
 	// optimizer and the depth-preserving recovery pass.
-	"depth-x": {passes: append([]Pass{deepDepthopt}, script("Txd", "TD")...), objective: ObjectiveDepth},
+	"depth-x": {passes: append([]Pass{deepDepthopt}, script("Txd", "TD")...), objective: extract.Depth},
 	// quick is one TF pass: the cheapest useful cleanup.
 	"quick": {passes: script("TF"), maxIter: 1},
 }
@@ -326,7 +303,7 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 		if err != nil {
 			return nil, PipelineStats{}, err
 		}
-		if p.Objective.better(size, depth, bestSize, bestDepth) {
+		if p.Objective.Better(size, depth, bestSize, bestDepth) {
 			best, bestSize, bestDepth = cur, size, depth
 			continue
 		}

@@ -20,6 +20,12 @@
 // in-tree and dynamic programming is optimal under fixed external
 // prices. Every pass is a pure function of the graph, so the selection
 // is bit-identical across runs and worker counts.
+//
+// Objective is the repository's one (size, depth) ranking: besides
+// steering Select, Objective.Better decides whether a choice-aware pass
+// keeps its extracted cover or its greedy twin, and whether a pipeline
+// round (internal/engine, Pipeline.Objective) improved on the best graph
+// so far.
 package extract
 
 import (
@@ -48,6 +54,16 @@ func (o Objective) String() string {
 		return "depth"
 	}
 	return "size"
+}
+
+// Better reports whether cost (aSize, aDepth) strictly beats (bSize,
+// bDepth) under o: lexicographically by size then depth, or by depth
+// then size under Depth.
+func (o Objective) Better(aSize, aDepth, bSize, bDepth int) bool {
+	if o == Depth {
+		return aDepth < bDepth || (aDepth == bDepth && aSize < bSize)
+	}
+	return aSize < bSize || (aSize == bSize && aDepth < bDepth)
 }
 
 // MaxDeps is the maximum dependencies a choice may carry: five cut
@@ -182,7 +198,7 @@ func Select(g *Graph, opt Options) Selection {
 	for round := 1; round < opt.Rounds; round++ {
 		pick, need = s.cover(bestNeed)
 		gates, arrival = s.score(pick, need)
-		if !s.better(gates, arrival, bestGates, bestArr) {
+		if !opt.Objective.Better(int(gates), int(arrival), int(bestGates), int(bestArr)) {
 			break
 		}
 		best, bestNeed, bestGates, bestArr = pick, need, gates, arrival
@@ -195,7 +211,7 @@ func Select(g *Graph, opt Options) Selection {
 	if g.FFRRoot != nil && opt.ExactFFRLimit > 0 {
 		if dp, dpNeed, regions := s.refineFFR(best, bestNeed); regions > 0 {
 			st.ExactRegions = regions
-			if dpGates, dpArr := s.score(dp, dpNeed); s.better(dpGates, dpArr, bestGates, bestArr) {
+			if dpGates, dpArr := s.score(dp, dpNeed); opt.Objective.Better(int(dpGates), int(dpArr), int(bestGates), int(bestArr)) {
 				best, bestGates, bestArr = dp, dpGates, dpArr
 				st.ExactWins++
 				st.Gates, st.Arrival = bestGates, bestArr
@@ -222,15 +238,6 @@ func Select(g *Graph, opt Options) Selection {
 		}
 	}
 	return Selection{Pick: best, Stats: st}
-}
-
-// better reports whether (gates, arr) beats (bGates, bArr) under the
-// objective, strictly.
-func (s *selector) better(gates int64, arr int32, bGates int64, bArr int32) bool {
-	if s.opt.Objective == Depth {
-		return arr < bArr || (arr == bArr && gates < bGates)
-	}
-	return gates < bGates || (gates == bGates && arr < bArr)
 }
 
 // estimate fills est (tree cost, sharing ignored — an admissible

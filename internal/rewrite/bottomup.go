@@ -47,31 +47,19 @@ func (r *rewriter) runBottomUp() {
 		})
 
 		// Cut replacements (Algorithm 2 lines 5–10).
-		for i := range r.cuts[v] {
-			c := &r.cuts[v][i]
-			if c.N == 1 && c.L[0] == v {
-				continue
-			}
-			leaves := c.Leaves()
-			if _, ok := r.coneAdmissible(v, leaves, st); !ok {
-				continue
-			}
-			e, tr := r.lookup(c, st)
-			if e == nil {
-				continue
-			}
-			r.eachCombo(leaves, cands, func(sel []candidate) {
+		r.eachCut(v, st, func(rep replacement, _ []mig.ID) {
+			r.eachCombo(rep.leaves, cands, func(sel []candidate) {
 				var leafSigs [5]mig.Lit
-				size := e.Size()
+				size := rep.entry.Size()
 				for j := range sel {
 					leafSigs[j] = sel[j].lit
 					size += sel[j].size
 				}
-				lit := r.instantiate(e, tr, leafSigs[:len(sel)])
+				lit := r.instantiate(rep.entry, rep.tr, leafSigs[:len(sel)])
 				r.replacements++
 				list = r.insert(list, candidate{lit: lit, size: size, depth: r.level(lit)})
 			})
-		}
+		})
 
 		if r.ffr != nil && r.ffr[v] == v && len(list) > 0 {
 			// Region root: settle on the best candidate. Consumers pay

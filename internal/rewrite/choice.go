@@ -8,37 +8,34 @@ import (
 )
 
 // Choice-aware rewriting (Options.Extract). The greedy top-down pass
-// commits the locally best cut of every node as it walks; here the
-// evaluation phase instead records, per live gate, every admissible
-// (cut, candidate) pair — the database candidates include the
-// alternative, strictly shallower implementations each class carries —
-// and internal/extract selects one implementation per needed gate
-// minimizing a global size or depth objective. Because a choice graph
-// prices sharing (a dependency needed by two selected choices is paid
-// once), the extraction can prefer a locally neutral replacement that a
-// greedy walk would never take.
+// commits the locally best cut of every node as it walks; here the one
+// per-node evaluation (bestCut) additionally records, per live gate,
+// every admissible (cut, candidate) pair — the database candidates
+// include the alternative, strictly shallower implementations each class
+// carries — and internal/extract selects one implementation per needed
+// gate minimizing a global size or depth objective. Because a choice
+// graph prices sharing (a dependency needed by two selected choices is
+// paid once), the extraction can prefer a locally neutral replacement
+// that a greedy walk would never take.
 //
-// The pass also computes the greedy decision alongside ("the twin") from
-// the same cut evaluations, commits both, and returns whichever scores
-// better under the objective — so a choice-aware pass is never worse
-// than its greedy counterpart on any input. Both the recording (a pure
-// per-node function fanned out over fanout-free regions) and the
-// extraction (deterministic passes over the finished graph) are
-// independent of the worker count, keeping the output bit-identical at
-// any parallelism.
+// The same evaluation memoizes the greedy decision ("the twin"), and the
+// one commit walk (runTopDown) builds both the twin and the selected
+// cover; the pass returns whichever scores better under the objective —
+// so a choice-aware pass is never worse than its greedy counterpart on
+// any input. Both the evaluation (a pure per-node function fanned out
+// over fanout-free regions) and the extraction (deterministic passes
+// over the finished graph) are independent of the worker count, keeping
+// the output bit-identical at any parallelism.
 
 // choiceRec is one recorded (cut, candidate) pair of a node: implement
-// the node as rec.entry over rec.leaves (which alias the cut arena of
-// the pass's workspace). cost is the candidate's effective gate price:
-// its size minus the gates that already exist in the input graph
+// the node by its replacement. cost is the candidate's effective gate
+// price: its size minus the gates that already exist in the input graph
 // outside the replaced cone (or simplify away on their leaf literals) —
 // the commit's structural hashing merges those for free, which is
 // precisely the sharing a greedy gain count cannot see.
 type choiceRec struct {
-	leaves []mig.ID
-	entry  *db.Entry
-	tr     transformRef
-	cost   int32
+	replacement
+	cost int32
 }
 
 // prepareChoices sizes the per-node menu slots, keeping each slot's
@@ -53,81 +50,6 @@ func (w *Workspace) prepareChoices(n int) {
 	for i := range w.choices {
 		w.choices[i] = w.choices[i][:0]
 	}
-}
-
-// evalNode runs one node's evaluation under the current mode: the
-// greedy best-cut memo, or choice recording (which computes the greedy
-// twin's decision from the same cut loop).
-func (r *rewriter) evalNode(v mig.ID, st *evalState) {
-	if r.opt.Extract {
-		r.recordChoices(v, st)
-	} else if best, ok := r.bestCut(v, st); ok {
-		r.ws.best[v] = best
-	}
-	r.ws.decided[v] = true
-}
-
-// recordChoices evaluates all admissible cuts of v once, recording
-// every candidate with non-negative gain into the node's choice menu
-// and — from the same evaluations — the exact decision bestCut would
-// have made, so the greedy twin costs no second cut loop. The twin
-// follows bestCut's policy to the letter (including the AllowZeroGain
-// and DepthPreserve gates and the first-cut-wins tie-break) and is
-// computed uncapped; the menu records zero-gain pairs regardless of
-// AllowZeroGain — locally neutral choices are exactly the ones global
-// sharing can turn profitable — and caps itself at Options.MaxChoices.
-// Like bestCut, this is a pure function of v over the pass's read-only
-// state, which is what the parallel evaluation phase relies on.
-func (r *rewriter) recordChoices(v mig.ID, st *evalState) {
-	recs := r.ws.choices[v][:0]
-	var best candidateCut
-	found := false
-	for i := range r.cuts[v] {
-		c := &r.cuts[v][i]
-		if c.N == 1 && c.L[0] == v {
-			continue // trivial cut: replaces nothing
-		}
-		leaves := c.Leaves()
-		nodes, ok := r.coneAdmissible(v, leaves, st)
-		if !ok {
-			continue
-		}
-		e, tr := r.lookup(c, st)
-		if e == nil {
-			continue
-		}
-		// The greedy twin, replicating bestCut over the primary entry.
-		gain := len(nodes) - e.Size()
-		if gain >= 0 && !(gain == 0 && !r.opt.AllowZeroGain) &&
-			!(r.opt.DepthPreserve && r.arrivalOf(e, tr, leaves) > r.oldLevels[v]) &&
-			!(gain == 0 && r.arrivalOf(e, tr, leaves) >= r.oldLevels[v]) {
-			cand := candidateCut{leaves: leaves, entry: e, tr: tr, gain: gain, depth: e.Depth}
-			if !found || cand.gain > best.gain ||
-				(cand.gain == best.gain && cand.depth < best.depth) {
-				best, found = cand, true
-			}
-		}
-		// The menu: every candidate implementation of the class, priced
-		// at its effective cost. A candidate whose nominal size exceeds
-		// the cone can still be admitted when enough of its gates already
-		// exist outside the cone — greedy must skip those, but the
-		// extractor may find they make the global cover cheaper.
-		for ci := 0; ci < e.NumCandidates() && len(recs) < r.opt.MaxChoices; ci++ {
-			cand := e.Candidate(ci)
-			eff := r.effectiveCost(cand, tr, leaves, nodes)
-			if len(nodes)-int(eff) < 0 {
-				continue
-			}
-			if r.opt.DepthPreserve && r.arrivalOf(cand, tr, leaves) > r.oldLevels[v] {
-				continue
-			}
-			recs = append(recs, choiceRec{leaves: leaves, entry: cand, tr: tr, cost: eff})
-		}
-	}
-	if found {
-		r.ws.best[v] = best
-	}
-	r.ws.choices[v] = recs
 }
 
 // effectiveCost prices cand's gates against the input graph: walking
@@ -296,27 +218,21 @@ func sigOf(ids map[sigKey]int32, rec *choiceRec) int32 {
 	return id
 }
 
-// runChoice is the choice-aware counterpart of runTopDown: evaluate
-// once (recording menus and the greedy twin's decisions), commit the
-// twin, commit the extracted cover, and keep whichever result scores
-// better under the extraction objective.
+// runChoice is the choice-aware counterpart of a greedy top-down pass:
+// evaluate every live gate once (bestCut records the greedy decision and
+// the menu), commit the greedy twin, select a cover of the menus, commit
+// the selection, and keep whichever result scores better under the
+// extraction objective.
 func (r *rewriter) runChoice(workers int) {
 	// The menus need the database's alternative candidates; deriving
 	// them is Once-guarded and shared process-wide.
 	r.d.EnsureAlts()
 	r.ws.prepareChoices(r.m.NumNodes())
-
-	base := r.opt.Ctx
-	ectx, espan := obs.Start(base, "rewrite.evaluate")
-	espan.SetInt("workers", int64(workers))
-	r.opt.Ctx = ectx
 	r.evaluateAll(workers)
-	espan.End()
-	r.opt.Ctx = base
 
-	// Greedy twin: every live gate is decided, so the commit phase of
-	// runTopDown consumes the memo without evaluating anything.
-	r.runTopDown(1)
+	// Greedy twin: every live gate is decided, so the commit consumes the
+	// memo without evaluating anything.
+	r.commitGreedy()
 	gRes := r.out.Compact()
 	gRepl := r.replacements
 
@@ -326,23 +242,23 @@ func (r *rewriter) runChoice(workers int) {
 	r.replacements = 0
 
 	g := r.buildGraph()
+	base := r.opt.Ctx
 	xctx, xspan := obs.Start(base, "rewrite.extract")
 	r.opt.Ctx = xctx
-	sel := extract.Select(g, extract.Options{Objective: r.opt.ExtractObjective})
-	r.commitExtract(sel)
+	obj := r.opt.ExtractObjective
+	sel := extract.Select(g, extract.Options{Objective: obj})
+	r.runTopDown(func(v mig.ID) *replacement {
+		if p := sel.Pick[v]; p > 0 {
+			return &r.ws.choices[v][p-1].replacement
+		}
+		return nil
+	})
 	xRes := r.out.Compact()
 	r.opt.Ctx = base
 
-	gSize, gDepth := gRes.Size(), gRes.Depth()
-	xSize, xDepth := xRes.Size(), xRes.Depth()
-	var xBetter bool
-	if r.opt.ExtractObjective == extract.Depth {
-		xBetter = xDepth < gDepth || (xDepth == gDepth && xSize < gSize)
-	} else {
-		xBetter = xSize < gSize || (xSize == gSize && xDepth < gDepth)
-	}
+	gSize, xSize := gRes.Size(), xRes.Size()
 	r.choiceCount = sel.Stats.Choices
-	if xBetter {
+	if obj.Better(xSize, xRes.Depth(), gSize, gRes.Depth()) {
 		r.done = xRes
 		r.extractSaved = gSize - xSize
 	} else {
@@ -353,74 +269,4 @@ func (r *rewriter) runChoice(workers int) {
 	xspan.SetInt("covered", int64(sel.Stats.Covered))
 	xspan.SetInt("saved_gates", int64(r.extractSaved))
 	xspan.End()
-}
-
-// commitExtract rebuilds the graph from the extraction's selection with
-// the same explicit-stack walk as runTopDown: a node whose pick is a
-// menu entry instantiates that candidate over its cut leaves, any other
-// node keeps its fanins. The walk's demand closure is exactly the
-// selection's need set, so every visited node has a valid pick.
-func (r *rewriter) commitExtract(sel extract.Selection) {
-	ws := r.ws
-	res, known := ws.res, ws.known
-	clear(known)
-	res[0], known[0] = mig.Const0, true
-	for i := 0; i < r.m.NumPIs(); i++ {
-		id := r.m.Input(i).ID()
-		res[id], known[id] = r.out.Input(i), true
-	}
-	stack := ws.stack[:0]
-	for _, o := range r.m.Outputs() {
-		if !known[o.ID()] {
-			stack = append(stack, o.ID())
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if known[v] {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			var rec *choiceRec
-			if p := sel.Pick[v]; p > 0 {
-				rec = &ws.choices[v][p-1]
-			}
-			ready := true
-			if rec != nil {
-				for i := len(rec.leaves) - 1; i >= 0; i-- {
-					if !known[rec.leaves[i]] {
-						stack = append(stack, rec.leaves[i])
-						ready = false
-					}
-				}
-				if !ready {
-					continue
-				}
-				var leafSigs [5]mig.Lit
-				for i, lf := range rec.leaves {
-					leafSigs[i] = res[lf]
-				}
-				res[v] = r.instantiate(rec.entry, rec.tr, leafSigs[:len(rec.leaves)])
-				r.replacements++
-			} else {
-				f := r.m.Fanin(v)
-				for i := 2; i >= 0; i-- {
-					if !known[f[i].ID()] {
-						stack = append(stack, f[i].ID())
-						ready = false
-					}
-				}
-				if !ready {
-					continue
-				}
-				res[v] = r.addMaj(
-					res[f[0].ID()].NotIf(f[0].Comp()),
-					res[f[1].ID()].NotIf(f[1].Comp()),
-					res[f[2].ID()].NotIf(f[2].Comp()))
-			}
-			known[v] = true
-			stack = stack[:len(stack)-1]
-		}
-		r.out.AddOutput(res[o.ID()].NotIf(o.Comp()))
-	}
-	ws.stack = stack[:0]
 }

@@ -15,6 +15,16 @@
 // size or depth objective), and ParseVariant inverts it over all 25
 // names ("TF5", "TFDx", "TF5xd", …).
 //
+// A top-down pass has one decision path. Every node is evaluated once
+// (bestCut): one loop over its admissible cuts, shared with the
+// bottom-up candidate lists, yields Algorithm 1's greedy decision and,
+// under Options.Extract, the node's menu of (cut, candidate) choices for
+// internal/extract. One commit walk (runTopDown) then builds the output
+// graph from whatever replacement each node is given: the greedy memo,
+// or the menu entry the extraction selected. A choice-aware pass runs
+// the walk twice — the greedy twin and the selected cover — and keeps
+// the better result under extract.Objective.Better.
+//
 // The hot path — cut enumeration, cone analysis and NPN lookup — runs
 // allocation-free in the steady state: cuts carry their truth tables (so
 // no cone is ever re-simulated), cone traversals use epoch-stamped scratch

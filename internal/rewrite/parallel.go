@@ -10,21 +10,32 @@ import (
 
 	"mighash/internal/fault"
 	"mighash/internal/mig"
+	"mighash/internal/obs"
 )
 
-// evaluateAll computes bestCut for every live gate on a bounded worker
-// pool and memoizes the decisions in ws.best/ws.decided for the commit
-// phase. Work is partitioned by fanout-free region: the cones of the
-// nodes of one region overlap heavily, so handing a whole region to one
-// worker keeps its epoch-stamped scratch arrays and the relevant graph
-// segments cache-warm, and regions are independent — no two workers ever
-// analyze the same cone.
+// evaluateAll runs bestCut for every live gate on a bounded worker pool,
+// inside the rewrite.evaluate span, so the commit walk only consumes
+// memoized decisions (and, in choice mode, the extraction reads the
+// recorded menus). Work is partitioned by fanout-free region: the cones
+// of the nodes of one region overlap heavily, so handing a whole region
+// to one worker keeps its epoch-stamped scratch arrays and the relevant
+// graph segments cache-warm, and regions are independent — no two
+// workers ever analyze the same cone.
 //
 // During this phase the rewriter's state is strictly read-only; each
-// worker writes only its own evalState and the ws.best/ws.decided slots
-// of the nodes it claimed, so the phase is race-free and — because
-// bestCut is a pure per-node function — deterministic.
+// worker writes only its own evalState and the per-node memo slots of
+// the nodes it claimed, so the phase is race-free and — because bestCut
+// is a pure per-node function — deterministic. r.opt.Ctx is swapped for
+// the span's context so on-demand ladders parent under it.
 func (r *rewriter) evaluateAll(workers int) {
+	base := r.opt.Ctx
+	ctx, span := obs.Start(base, "rewrite.evaluate")
+	span.SetInt("workers", int64(workers))
+	r.opt.Ctx = ctx
+	defer func() {
+		span.End()
+		r.opt.Ctx = base
+	}()
 	ws := r.ws
 	roots := r.ffr
 	if roots == nil {
@@ -61,7 +72,7 @@ func (r *rewriter) evaluateAll(workers int) {
 	if workers <= 1 {
 		st := &ws.eval[0]
 		for _, v := range perm {
-			r.evalNode(v, st)
+			r.bestCut(v, st)
 		}
 		return
 	}
@@ -99,7 +110,7 @@ func (r *rewriter) evaluateAll(workers int) {
 					panic(err)
 				}
 				for _, v := range perm[starts[k]:starts[k+1]] {
-					r.evalNode(v, st)
+					r.bestCut(v, st)
 				}
 			}
 		}()

@@ -294,7 +294,6 @@ func (w *Workspace) prepare(n, workers int) {
 	w.known = w.known[:n]
 	clear(w.best)
 	clear(w.decided)
-	clear(w.known)
 	for len(w.eval) < workers {
 		w.eval = append(w.eval, evalState{cone: mig.NewWorkspace()})
 	}
@@ -347,7 +346,11 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	} else if opt.Extract {
 		r.runChoice(workers)
 	} else {
-		r.runTopDown(workers)
+		// A serial pass evaluates lazily from the commit walk.
+		if workers > 1 {
+			r.evaluateAll(workers)
+		}
+		r.commitGreedy()
 	}
 	res := r.done
 	if res == nil {
@@ -385,7 +388,8 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 
 // rewriter carries the shared state of one pass. During the parallel
 // evaluation phase everything here is read-only; only the per-worker
-// evalStates and distinct ws.best/ws.decided slots are written.
+// evalStates and the distinct per-node slots of ws.best, ws.decided and
+// ws.choices are written.
 type rewriter struct {
 	m    *mig.MIG
 	d    *db.DB
@@ -439,14 +443,20 @@ func (r *rewriter) level(l mig.Lit) int {
 	return r.levels[l.ID()]
 }
 
-// candidateCut is one admissible replacement for a node. leaves aliases
-// the cut-set arena of the pass's workspace.
-type candidateCut struct {
+// replacement is one way to rebuild a node: instantiate entry over the
+// cut leaves under transform tr. leaves aliases the cut-set arena of the
+// pass's workspace.
+type replacement struct {
 	leaves []mig.ID
 	entry  *db.Entry
 	tr     transformRef
-	gain   int
-	depth  int // structural depth of the replacement
+}
+
+// candidateCut is a node's greedy decision: the replacement and the
+// gates it saves.
+type candidateCut struct {
+	replacement
+	gain int
 }
 
 // transformRef avoids importing npn here twice; see lookup.
@@ -582,18 +592,20 @@ func (r *rewriter) arrivalOf(e *db.Entry, tr transformRef, leaves []mig.ID) int 
 	return arr
 }
 
-// bestCut evaluates all admissible cuts of v and returns the most
-// profitable replacement under the current options. It is a pure function
-// of v over the pass's read-only state — the property the parallel
-// evaluation phase relies on — and allocates nothing in the steady state.
-func (r *rewriter) bestCut(v mig.ID, st *evalState) (best candidateCut, found bool) {
+// eachCut calls fn for every cut of v a pass may replace — the trivial
+// cut skipped, the cone admissible under the current options, the cut
+// function's class known — with the replacement the database offers and
+// the cone's internal gates (which alias st.cone until the next cone
+// analysis). Top-down evaluation (bestCut) and the bottom-up candidate
+// lists (runBottomUp) share this loop.
+func (r *rewriter) eachCut(v mig.ID, st *evalState, fn func(rep replacement, cone []mig.ID)) {
 	for i := range r.cuts[v] {
 		c := &r.cuts[v][i]
 		if c.N == 1 && c.L[0] == v {
 			continue // trivial cut: replaces nothing
 		}
 		leaves := c.Leaves()
-		nodes, ok := r.coneAdmissible(v, leaves, st)
+		cone, ok := r.coneAdmissible(v, leaves, st)
 		if !ok {
 			continue
 		}
@@ -601,21 +613,71 @@ func (r *rewriter) bestCut(v mig.ID, st *evalState) (best candidateCut, found bo
 		if e == nil {
 			continue
 		}
-		gain := len(nodes) - e.Size()
-		if gain < 0 || (gain == 0 && !r.opt.AllowZeroGain) {
-			continue
-		}
-		if r.opt.DepthPreserve && r.arrivalOf(e, tr, leaves) > r.oldLevels[v] {
-			continue
-		}
-		if gain == 0 && r.arrivalOf(e, tr, leaves) >= r.oldLevels[v] {
-			continue // zero-gain replacements must at least reduce arrival
-		}
-		cand := candidateCut{leaves: leaves, entry: e, tr: tr, gain: gain, depth: e.Depth}
-		if !found || cand.gain > best.gain ||
-			(cand.gain == best.gain && cand.depth < best.depth) {
-			best, found = cand, true
-		}
+		fn(replacement{leaves: leaves, entry: e, tr: tr}, cone)
 	}
-	return best, found
+}
+
+// bestCut is the one per-node evaluation of a top-down pass. It runs v's
+// cut loop once and memoizes Algorithm 1's decision in ws.best[v]: the
+// replacement saving the most gates, ties to the shallower structure,
+// the first cut winning exact ties. Zero-gain replacements are taken only
+// under AllowZeroGain and only when they reduce v's arrival, and
+// DepthPreserve drops any that would delay it.
+//
+// With Options.Extract the same loop also records v's menu in
+// ws.choices[v]: every candidate implementation of every admissible cut,
+// priced at its effective cost. A candidate whose nominal size exceeds
+// the cone is still admitted when enough of its gates already exist
+// outside the cone — greedy must skip those, but the extractor may find
+// they make the global cover cheaper — and zero-gain entries are recorded
+// regardless of AllowZeroGain, since locally neutral choices are exactly
+// the ones global sharing can turn profitable. The menu caps itself at
+// Options.MaxChoices; the greedy decision is uncapped.
+//
+// bestCut is a pure function of v over the pass's read-only state — the
+// property the parallel evaluation phase relies on — and allocates
+// nothing in the steady state.
+func (r *rewriter) bestCut(v mig.ID, st *evalState) {
+	ws := r.ws
+	var best candidateCut
+	var menu []choiceRec
+	if r.opt.Extract {
+		menu = ws.choices[v][:0]
+	}
+	r.eachCut(v, st, func(rep replacement, cone []mig.ID) {
+		e := rep.entry
+		if r.opt.Extract {
+			for ci := 0; ci < e.NumCandidates() && len(menu) < r.opt.MaxChoices; ci++ {
+				cand := e.Candidate(ci)
+				eff := r.effectiveCost(cand, rep.tr, rep.leaves, cone)
+				if len(cone)-int(eff) < 0 {
+					continue
+				}
+				if r.opt.DepthPreserve && r.arrivalOf(cand, rep.tr, rep.leaves) > r.oldLevels[v] {
+					continue
+				}
+				menu = append(menu, choiceRec{replacement{leaves: rep.leaves, entry: cand, tr: rep.tr}, eff})
+			}
+		}
+		gain := len(cone) - e.Size()
+		if gain < 0 || (gain == 0 && !r.opt.AllowZeroGain) {
+			return
+		}
+		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves) > r.oldLevels[v] {
+			return
+		}
+		if gain == 0 && r.arrivalOf(e, rep.tr, rep.leaves) >= r.oldLevels[v] {
+			return // zero-gain replacements must at least reduce arrival
+		}
+		if best.entry == nil || gain > best.gain || (gain == best.gain && e.Depth < best.entry.Depth) {
+			best = candidateCut{rep, gain}
+		}
+	})
+	if best.entry != nil {
+		ws.best[v] = best // prepare zeroed the memo, which reads as no decision
+	}
+	if r.opt.Extract {
+		ws.choices[v] = menu
+	}
+	ws.decided[v] = true
 }

@@ -5,72 +5,35 @@ import (
 	"mighash/internal/obs"
 )
 
-// runTopDown implements Algorithm 1 of the paper, split into an
-// evaluation phase and a commit phase. Starting from every output, opt(v)
-// looks for the cut of v whose replacement by its minimum representation
-// yields the largest size reduction; if one exists the internal nodes of
+// runTopDown implements Algorithm 1 of the paper and is the one commit
+// walk of every top-down pass. Starting from every output, opt(v) takes
+// the replacement pick(v) names: if there is one, the internal nodes of
 // the cone are skipped and optimization recurs on the cut leaves,
 // otherwise it recurs on the fanins of v. Results are memoized, which is
-// what makes the traversal well-defined on a DAG: a node shared by several
-// outputs or cones is rebuilt exactly once.
+// what makes the traversal well-defined on a DAG: a node shared by
+// several outputs or cones is rebuilt exactly once.
 //
-// With workers > 1 the expensive part — bestCut over every live gate — is
-// evaluated up front on a worker pool (see evaluateAll); the commit phase
-// below then only consumes the memoized decisions. Because bestCut is a
-// pure per-node function and the commit order is fixed, the output graph
-// is bit-identical for every worker count. The commit traversal itself is
-// an explicit-stack DFS, so graphs with arbitrarily long chains cannot
+// pick is the greedy decision of the node (decide) or, in choice mode,
+// the menu entry the extraction selected. Either way it is fixed per
+// node before the walk needs it, and the walk order is fixed, so the
+// output graph is bit-identical for every worker count. The walk is an
+// explicit-stack DFS, so graphs with arbitrarily long chains cannot
 // overflow the goroutine stack.
-func (r *rewriter) runTopDown(workers int) {
+func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 	ws := r.ws
 	res, known := ws.res, ws.known
+	clear(known)
 	res[0], known[0] = mig.Const0, true
 	for i := 0; i < r.m.NumPIs(); i++ {
 		id := r.m.Input(i).ID()
 		res[id], known[id] = r.out.Input(i), true
 	}
-	// Phase spans: the parallel evaluation and the serial commit each get
-	// one. r.opt.Ctx is swapped per phase so the on-demand ladder spans
-	// started inside Exact5.Lookup parent under the phase they ran in. In
-	// serial mode every cut is evaluated lazily from the commit walk, so
-	// ladders land under rewrite.commit there — that is where the time
-	// actually goes.
-	base := r.opt.Ctx
-	if workers > 1 {
-		ectx, espan := obs.Start(base, "rewrite.evaluate")
-		espan.SetInt("workers", int64(workers))
-		r.opt.Ctx = ectx
-		r.evaluateAll(workers)
-		espan.End()
-	}
-	cctx, cspan := obs.Start(base, "rewrite.commit")
-	r.opt.Ctx = cctx
-	defer func() {
-		cspan.SetInt("replacements", int64(r.replacements))
-		cspan.End()
-		r.opt.Ctx = base
-	}()
-	st := &ws.eval[0]
-	// decide memoizes bestCut per node: prefilled for every live gate by
-	// evaluateAll in parallel mode, computed on first visit otherwise.
-	decide := func(v mig.ID) *candidateCut {
-		if !ws.decided[v] {
-			if best, ok := r.bestCut(v, st); ok {
-				ws.best[v] = best
-			}
-			ws.decided[v] = true
-		}
-		if ws.best[v].entry != nil {
-			return &ws.best[v]
-		}
-		return nil
-	}
 	// A node is examined once to push its unresolved dependencies — the
-	// best cut's leaves if a profitable replacement exists, the fanins
-	// otherwise — and resolved when all of them are known. Dependencies
-	// always have smaller IDs than the node, so the walk strictly
-	// descends and terminates. Dependencies are pushed in reverse so they
-	// resolve left to right, matching the recursive formulation.
+	// replacement's leaves if it has one, the fanins otherwise — and
+	// resolved when all of them are known. Dependencies always have
+	// smaller IDs than the node, so the walk strictly descends and
+	// terminates. Dependencies are pushed in reverse so they resolve left
+	// to right, matching the recursive formulation.
 	stack := ws.stack[:0]
 	for _, o := range r.m.Outputs() {
 		if !known[o.ID()] {
@@ -83,10 +46,10 @@ func (r *rewriter) runTopDown(workers int) {
 				continue
 			}
 			ready := true
-			if best := decide(v); best != nil {
-				for i := len(best.leaves) - 1; i >= 0; i-- {
-					if !known[best.leaves[i]] {
-						stack = append(stack, best.leaves[i])
+			if rep := pick(v); rep != nil {
+				for i := len(rep.leaves) - 1; i >= 0; i-- {
+					if !known[rep.leaves[i]] {
+						stack = append(stack, rep.leaves[i])
 						ready = false
 					}
 				}
@@ -94,10 +57,10 @@ func (r *rewriter) runTopDown(workers int) {
 					continue
 				}
 				var leafSigs [5]mig.Lit
-				for i, lf := range best.leaves {
+				for i, lf := range rep.leaves {
 					leafSigs[i] = res[lf]
 				}
-				res[v] = r.instantiate(best.entry, best.tr, leafSigs[:len(best.leaves)])
+				res[v] = r.instantiate(rep.entry, rep.tr, leafSigs[:len(rep.leaves)])
 				r.replacements++
 			} else {
 				f := r.m.Fanin(v)
@@ -121,4 +84,33 @@ func (r *rewriter) runTopDown(workers int) {
 		r.out.AddOutput(res[o.ID()].NotIf(o.Comp()))
 	}
 	ws.stack = stack[:0]
+}
+
+// commitGreedy runs the commit walk over the greedy decisions inside the
+// rewrite.commit span. r.opt.Ctx is swapped for the span's context so
+// on-demand ladder spans started inside Exact5.Lookup parent under it: a
+// serial greedy pass evaluates every node lazily from the walk, so that
+// is where its time actually goes.
+func (r *rewriter) commitGreedy() {
+	base := r.opt.Ctx
+	cctx, cspan := obs.Start(base, "rewrite.commit")
+	r.opt.Ctx = cctx
+	defer func() {
+		cspan.SetInt("replacements", int64(r.replacements))
+		cspan.End()
+		r.opt.Ctx = base
+	}()
+	r.runTopDown(r.decide)
+}
+
+// decide is the greedy pick: v's bestCut decision, evaluated on first
+// visit unless evaluateAll already memoized it.
+func (r *rewriter) decide(v mig.ID) *replacement {
+	if !r.ws.decided[v] {
+		r.bestCut(v, &r.ws.eval[0])
+	}
+	if best := &r.ws.best[v]; best.entry != nil {
+		return &best.replacement
+	}
+	return nil
 }

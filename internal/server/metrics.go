@@ -35,13 +35,9 @@ type metrics struct {
 	// before they joined the slot queue (a subset of error_responses).
 	shed atomic.Int64
 
-	jobsOK     atomic.Int64 // jobs that returned an optimized netlist
-	jobsFailed atomic.Int64 // jobs that ended in a per-job error
-	gatesIn    atomic.Int64 // summed input sizes of completed jobs
-	gatesOut   atomic.Int64 // summed optimized sizes of completed jobs
-	passes     atomic.Int64 // executed pipeline passes
-	cacheHits  atomic.Int64 // NPN cut-cache hits, summed over jobs
-	cacheMiss  atomic.Int64 // NPN cut-cache misses, summed over jobs
+	passes    atomic.Int64 // executed pipeline passes
+	cacheHits atomic.Int64 // NPN cut-cache hits, summed over jobs
+	cacheMiss atomic.Int64 // NPN cut-cache misses, summed over jobs
 	// Choice-aware extraction traffic, summed over completed jobs.
 	extractChoices atomic.Int64 // recorded (cut, candidate) choices
 	extractSaved   atomic.Int64 // gates saved over the greedy twins
@@ -69,24 +65,23 @@ type metrics struct {
 	slotWait   *obs.Histogram // time spent waiting for a pool slot
 
 	// presets holds the per-script rolling QoR aggregates behind
-	// GET /v1/stats and the labeled /metrics series.
+	// GET /v1/stats and the labeled /metrics series. It is the one
+	// source of the job and gate counts: the service-wide totals are its
+	// sums.
 	presets statsRegistry
 }
 
-// observe folds one finished batch into the counters.
-func (m *metrics) observe(results []engine.Result) {
-	m.presets.observePreset(results)
+// observe folds one finished batch of the named script into the
+// counters.
+func (m *metrics) observe(script string, results []engine.Result) {
+	m.presets.observePreset(script, results)
 	for _, r := range results {
 		if r.Err != nil {
-			m.jobsFailed.Add(1)
 			if errors.Is(r.Err, engine.ErrJobPanic) {
 				m.jobPanics.Add(1)
 			}
 			continue
 		}
-		m.jobsOK.Add(1)
-		m.gatesIn.Add(int64(r.Stats.SizeBefore))
-		m.gatesOut.Add(int64(r.Stats.SizeAfter))
 		m.passes.Add(int64(len(r.Stats.Passes)))
 		m.cacheHits.Add(int64(r.Stats.CacheHits))
 		m.cacheMiss.Add(int64(r.Stats.CacheMisses))
@@ -97,6 +92,8 @@ func (m *metrics) observe(results []engine.Result) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := &s.metrics
+	snaps := m.presets.snapshot()
+	total := sumPresets(snaps)
 	vals := map[string]int64{
 		"migserve_requests_total":          m.requests.Load(),
 		"migserve_optimize_requests_total": m.optimize.Load(),
@@ -108,10 +105,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"migserve_shed_total":              m.shed.Load(),
 		"migserve_handler_panics_total":    m.handlerPanics.Load(),
 		"migserve_job_panics_total":        m.jobPanics.Load(),
-		"migserve_jobs_completed_total":    m.jobsOK.Load(),
-		"migserve_jobs_failed_total":       m.jobsFailed.Load(),
-		"migserve_input_gates_total":       m.gatesIn.Load(),
-		"migserve_output_gates_total":      m.gatesOut.Load(),
+		"migserve_jobs_completed_total":    total.Jobs,
+		"migserve_jobs_failed_total":       total.Failed,
+		"migserve_input_gates_total":       total.GatesIn,
+		"migserve_output_gates_total":      total.GatesOut,
 		"migserve_passes_total":            m.passes.Load(),
 		"migserve_npn_cache_hits_total":    m.cacheHits.Load(),
 		"migserve_npn_cache_misses_total":  m.cacheMiss.Load(),
@@ -159,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// gauges are hand-emitted: obs.Histogram's exposition writer has no
 	// label support, and two summary-style gauges per preset beat a full
 	// labeled bucket set nobody graphs.
-	for _, snap := range m.presets.snapshot() {
+	for _, snap := range snaps {
 		ps := snap.stats
 		fmt.Fprintf(w, "migserve_preset_jobs_total{script=%q} %d\n", snap.name, ps.jobs.Load())
 		fmt.Fprintf(w, "migserve_preset_jobs_failed_total{script=%q} %d\n", snap.name, ps.failed.Load())

@@ -845,7 +845,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, req BatchRequest, b
 	for i, res := range results {
 		resps[i] = s.buildResponse(ectx, req, i, jobs[i].M, res)
 	}
-	s.metrics.observe(results)
+	s.metrics.observe(p.Name, results)
 
 	if runErr != nil && !req.Stream {
 		// The whole batch hit the deadline (or the client went away).

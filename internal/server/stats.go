@@ -67,17 +67,13 @@ type presetSnapshot struct {
 	stats *presetStats
 }
 
-// observePreset folds one finished batch into the per-preset registry.
-// Jobs whose stats never got a script name (failed before the pipeline
-// ran) are counted under the result's script when known and skipped
-// otherwise — a crash must not mint an unnamed preset bucket.
-func (sr *statsRegistry) observePreset(results []engine.Result) {
+// observePreset folds one finished batch of script into the registry.
+// The caller names the script — the request's pipeline — because a job
+// that failed carries no stats to read it from, and a failure must still
+// land in its preset's failed counter.
+func (sr *statsRegistry) observePreset(script string, results []engine.Result) {
+	ps := sr.get(script)
 	for _, r := range results {
-		script := r.Stats.Script
-		if script == "" {
-			continue
-		}
-		ps := sr.get(script)
 		if r.Err != nil {
 			ps.failed.Add(1)
 			continue
@@ -87,6 +83,20 @@ func (sr *statsRegistry) observePreset(results []engine.Result) {
 		ps.gatesOut.Add(int64(r.Stats.SizeAfter))
 		ps.hist.Observe(r.Stats.Elapsed)
 	}
+}
+
+// sumPresets returns the service-wide job and gate totals: the sums of
+// the per-preset aggregates, so /v1/stats, its per-preset rows and
+// /metrics can never disagree.
+func sumPresets(snaps []presetSnapshot) PresetStats {
+	var t PresetStats
+	for _, snap := range snaps {
+		t.Jobs += snap.stats.jobs.Load()
+		t.Failed += snap.stats.failed.Load()
+		t.GatesIn += snap.stats.gatesIn.Load()
+		t.GatesOut += snap.stats.gatesOut.Load()
+	}
+	return t
 }
 
 // PresetStats is one preset's aggregate in the GET /v1/stats response.
@@ -116,14 +126,16 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	snaps := s.metrics.presets.snapshot()
+	total := sumPresets(snaps)
 	resp := StatsResponse{
 		UptimeSeconds: int64(time.Since(s.metrics.start).Seconds()),
 		Requests:      s.metrics.requests.Load(),
-		JobsCompleted: s.metrics.jobsOK.Load(),
-		JobsFailed:    s.metrics.jobsFailed.Load(),
+		JobsCompleted: total.Jobs,
+		JobsFailed:    total.Failed,
 		Presets:       []PresetStats{},
 	}
-	for _, snap := range s.metrics.presets.snapshot() {
+	for _, snap := range snaps {
 		ps := snap.stats
 		resp.Presets = append(resp.Presets, PresetStats{
 			Script:       snap.name,

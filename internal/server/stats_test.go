@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"mighash/internal/fault"
 )
 
 // TestStatsEndpoint is the /v1/stats acceptance path: after serving
@@ -86,23 +88,46 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsCountsFailedJobs: a job that fails per-job (deadline) lands
-// in the preset's failed counter, not its QoR aggregates.
+// TestStatsFailedJobsDoNotPolluteAggregates: a job that fails per-job
+// (here an injected in-band outage at the "engine/job" failpoint, which
+// like a deadline leaves the job without stats) lands in its preset's
+// failed counter, not its QoR aggregates — and the service-wide totals
+// on /v1/stats and /metrics, summed from the same registry, agree.
 func TestStatsFailedJobsDoNotPolluteAggregates(t *testing.T) {
+	defer fault.Reset()
 	_, hs := newTestServer(t, Config{})
+	if err := fault.Enable("engine/job", "count(1)*return(injected outage)"); err != nil {
+		t.Fatal(err)
+	}
 	r := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{
-		Netlist: suiteBench(t, "Sine"), ScriptSpec: ScriptSpec{Script: "resyn"},
-		TimeoutMS: 1})
+		Netlist: suiteBench(t, "Sine"), ScriptSpec: ScriptSpec{Script: "resyn"}})
 	io.Copy(io.Discard, r.Body)
+	if r.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failed job returned %d, want 500", r.StatusCode)
+	}
 	resp, err := http.Get(hs.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	stats := decodeBody[StatsResponse](t, resp)
-	for _, p := range stats.Presets {
-		if p.Jobs != 0 {
-			t.Errorf("preset %q counted %d completed jobs from a deadline-failed request", p.Script, p.Jobs)
+	if len(stats.Presets) != 1 {
+		t.Fatalf("presets = %+v, want resyn alone", stats.Presets)
+	}
+	if p := stats.Presets[0]; p.Script != "resyn" || p.Failed != 1 || p.Jobs != 0 || p.GatesIn != 0 {
+		t.Errorf("resyn aggregate = %+v, want failed 1, jobs 0, no gates", p)
+	}
+	if stats.JobsFailed != 1 || stats.JobsCompleted != 0 {
+		t.Errorf("totals: %d failed, %d completed; want 1, 0", stats.JobsFailed, stats.JobsCompleted)
+	}
+	for name, want := range map[string]int64{
+		`migserve_preset_jobs_failed_total{script="resyn"}`: 1,
+		`migserve_preset_jobs_total{script="resyn"}`:        0,
+		"migserve_jobs_failed_total":                        1,
+		"migserve_jobs_completed_total":                     0,
+	} {
+		if got := metricValue(t, hs.URL, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

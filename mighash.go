@@ -218,7 +218,9 @@ var (
 // result is never worse than the greedy twin on the same input, and
 // bit-identical at any worker count. RewriteOptions.Extract switches a
 // top-down variant into this mode; RewriteOptions.ExtractObjective
-// picks what the cover minimizes.
+// picks what the cover minimizes. The same type is Pipeline.Objective,
+// the metric a script converges on: ExtractSize ranks graphs by size
+// then depth, ExtractDepth by depth then size.
 type ExtractObjective = extract.Objective
 
 // The two extraction objectives: gate count (the default) or output
