@@ -163,8 +163,9 @@ func startingPoint(b *testing.B, name string) *mig.MIG {
 // benchVariant runs one functional-hashing variant on one benchmark,
 // driven through the engine as the production flow does. One single-pass
 // pipeline iteration is a bare rewrite.Run plus the engine's fixed
-// per-run overhead (a fresh NPN cut-cache and pipeline bookkeeping), so
-// these numbers are not directly comparable with pre-engine baselines.
+// per-run overhead (a fresh workspace, lookup memo and pipeline
+// bookkeeping), so these numbers are not directly comparable with
+// pre-engine baselines.
 func benchVariant(b *testing.B, name string, opt rewrite.Options) {
 	start := startingPoint(b, name)
 	p := engine.New(engine.RewritePass(opt))
@@ -225,7 +226,7 @@ func BenchmarkTableIV_Mapping(b *testing.B) {
 
 // BenchmarkEngine_ResynSine runs the composite resyn script to
 // convergence on the Sine benchmark: the engine's iterated-pipeline
-// overhead and the NPN cut-cache in one number.
+// overhead and the run's lookup memo in one number.
 func BenchmarkEngine_ResynSine(b *testing.B) {
 	start := startingPoint(b, "Sine")
 	p, err := engine.Preset("resyn")
@@ -274,9 +275,9 @@ func benchBatch(b *testing.B, workers int) {
 func BenchmarkEngine_Batch1(b *testing.B)      { benchBatch(b, 1) }
 func BenchmarkEngine_BatchNumCPU(b *testing.B) { benchBatch(b, runtime.NumCPU()) }
 
-// BenchmarkEngine_NPNCacheHit vs NPNLookupUncached isolate what one
-// cut-cache hit saves over a fresh canonicalization + database lookup.
-func BenchmarkEngine_NPNCacheHit(b *testing.B) {
+// BenchmarkEngine_LookupMemoHit vs NPNLookupUncached isolate what one
+// lookup memo hit saves over a fresh canonicalization + database lookup.
+func BenchmarkEngine_LookupMemoHit(b *testing.B) {
 	d := db.MustLoad()
 	c := db.NewCache()
 	for v := 0; v < 1<<16; v++ {
@@ -285,7 +286,7 @@ func BenchmarkEngine_NPNCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok, hit := d.LookupCached(tt.New(4, uint64(i&0xFFFF)), c); !ok || !hit {
-			b.Fatal("warm cache missed")
+			b.Fatal("warm memo missed")
 		}
 	}
 }

@@ -8,7 +8,6 @@
 //	migpipe -script size -workers 1 -json     # serial, machine-readable stats
 //	migpipe -script resyn -benchmarks Sine,Max -verify sat
 //	migpipe -script resyn -verify sim -json       # differential harness, machine-readable
-//	migpipe -script resyn -cachefile npn.cache   # warm-start reruns from disk
 //	migpipe -script BF -in circuit.bench -split   # one job per output cone
 //	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
 //	migpipe -script TFD -in c.bench -verify sat -out opt.bench  # optimize one file, save the result
@@ -34,11 +33,6 @@
 // the harness statistics in its "verify" block (the sim-verify CI job
 // uploads them as BENCH_sim.json).
 //
-// With -cachefile the jobs share one NPN cut-cache that is warm-started
-// from the snapshot at that path (when it exists) and saved back after
-// the run, so reruns skip the canonicalizations of previous processes;
-// the optimized graphs are bit-identical warm or cold.
-//
 // -script takes a preset or a single pass name of the pass grammar
 // (engine.PassByName): a "5" suffix (resyn5, size5, TF5, TFD5x, …)
 // extends functional hashing to five-leaf cuts, and an "x" suffix
@@ -46,8 +40,10 @@
 // The NPN classes of five-leaf cuts are not precomputed but learned —
 // synthesized on first contact by the SAT engine under the budget of
 // -synth-conflicts/-synth-budget, memoized by semi-canonical class, and
-// persisted through -cachefile alongside the 4-input cut-cache, so a
-// warm rerun re-synthesizes nothing.
+// persisted through -cachefile: the learned store is warm-started from
+// the snapshot at that path (when it exists) and saved back after the
+// run, so a warm rerun re-synthesizes nothing; the optimized graphs are
+// bit-identical warm or cold.
 //
 // -out saves the optimized graph of a single local job (one -benchmarks
 // name, or -in without -split) in the format its extension names: BENCH
@@ -62,7 +58,7 @@
 // With -url the jobs are not optimized locally: they are serialized to
 // BENCH and submitted to a running migserve at that base URL via
 // POST /v1/optimize/batch, and the reported statistics are the server's.
-// The engine-local -sharedcache/-cachefile/-synth-* flags are ignored
+// The engine-local -cachefile/-synth-* flags are ignored
 // remotely (with a warning), and the reported worker count is the
 // requested value — the server clamps the parallelism it actually
 // grants. Transient failures — connection errors, 503s, other 5xx
@@ -120,9 +116,8 @@ type jsonReport struct {
 	Workers int           `json:"workers"`
 	Jobs    int           `json:"jobs"`
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// CacheHits/CacheMisses aggregate the NPN cut-cache counters over
-	// every job; CacheHitRate is their ratio. The CI warm-start smoke
-	// compares these across runs of the same -cachefile.
+	// CacheHits/CacheMisses aggregate the 4-input lookup memo counters
+	// over every job; CacheHitRate is their ratio.
 	CacheHits    int     `json:"cache_hits"`
 	CacheMisses  int     `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
@@ -198,8 +193,7 @@ func main() {
 		in         = flag.String("in", "", "optimize one MIG file instead of the benchmark suite")
 		split      = flag.Bool("split", false, "with -in: one batch job per output cone")
 		prepare    = flag.Bool("prepare", true, "depth-optimize benchmark starting points first (Sec. V-C)")
-		shared     = flag.Bool("sharedcache", false, "share one NPN cut-cache across all workers")
-		cacheFile  = flag.String("cachefile", "", "warm-start the shared NPN cache from this snapshot and save it back after the run")
+		cacheFile  = flag.String("cachefile", "", "warm-start the learned 5-input store from this snapshot and save it back after the run")
 		verify     = flag.String("verify", "", `verification ladder rung: "sat" (prove final results), "sim" (differential harness: re-simulate every pass, refute-only), or "sim+sat"`)
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON on stdout")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
@@ -269,17 +263,11 @@ func main() {
 	}
 	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl, Timeout: *synthTime})
 	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
-	if *shared {
-		opt.SharedCache = db.NewCache()
-	}
 	if *url != "" {
-		// The engine-local cache flags never reach the server; warn
+		// The engine-local store flags never reach the server; warn
 		// instead of silently dropping them so scripted runs notice.
-		if *shared {
-			log.Printf("warning: -sharedcache is ignored with -url (the server owns its cache policy)")
-		}
 		if *cacheFile != "" {
-			log.Printf("warning: -cachefile is ignored with -url (persist the cache server-side with migserve -cache-file)")
+			log.Printf("warning: -cachefile is ignored with -url (persist the store server-side with migserve -cache-file)")
 		}
 		if *synthConfl != 0 || *synthTime != 0 {
 			log.Printf("warning: -synth-conflicts/-synth-budget are ignored with -url (tune the server with migserve -synth-*)")

@@ -6,20 +6,20 @@
 // Usage:
 //
 //	migserve                          # listen on :8080
-//	migserve -addr :9090 -concurrency 8 -sharedcache
+//	migserve -addr :9090 -concurrency 8
 //	migserve -max-body 4194304 -timeout 30s -max-timeout 2m
 //	migserve -cache-file /var/lib/migserve/npn.cache -cache-snapshot 2m
 //	migserve -trace-dir /tmp/traces -slow-log 2s   # per-request Chrome traces
 //	migserve -pprof-addr localhost:6060            # pprof on a private listener
 //
-// With -cache-file the shared NPN cut-cache — and the on-demand 5-input
-// exact-synthesis store behind the resyn5/size5/TF5… scripts — survives
-// restarts: the snapshot is restored on startup (a corrupt file degrades
-// to a cold cache with a logged error), re-written every -cache-snapshot
-// interval, and drained to disk one final time during SIGTERM shutdown.
-// -cache-limit bounds the cache with second-chance eviction, and
+// With -cache-file the on-demand 5-input exact-synthesis store behind
+// the resyn5/size5/TF5… scripts survives restarts: the snapshot is
+// restored on startup (a corrupt file degrades to a cold store with a
+// logged error), re-written every -cache-snapshot interval, and drained
+// to disk one final time during SIGTERM shutdown.
 // -synth-conflicts/-synth-budget/-synth-gates bound each 5-input class's
-// first-contact synthesis; request deadlines cancel in-flight ladders.
+// first-contact synthesis, -synth-limit bounds the learned classes with
+// second-chance eviction, and request deadlines cancel in-flight ladders.
 //
 // The service degrades rather than dies: handler and per-job panics are
 // caught, counted and answered with a 500 naming the request ID; every
@@ -85,10 +85,8 @@ func main() {
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on client-requested deadlines (0 = 5m)")
 		concurrency = flag.Int("concurrency", 0, "optimization jobs in flight at once (0 = NumCPU)")
 		maxWorkers  = flag.Int("max-workers", 0, "cap on per-request intra-graph workers (0 = 4)")
-		shared      = flag.Bool("sharedcache", false, "share one NPN cut-cache across all requests")
-		cacheFile   = flag.String("cache-file", "", "persist the shared cache to this snapshot file (implies -sharedcache)")
-		cacheSnap   = flag.Duration("cache-snapshot", 0, "periodic cache snapshot interval (0 = 5m, <0 = shutdown-only)")
-		cacheLimit  = flag.Int("cache-limit", 0, "bound on shared-cache entries, second-chance evicted (0 = unbounded)")
+		cacheFile   = flag.String("cache-file", "", "persist the learned 5-input store to this snapshot file")
+		cacheSnap   = flag.Duration("cache-snapshot", 0, "periodic snapshot interval (0 = 5m, <0 = shutdown-only)")
 		synthConfl  = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
 		synthTime   = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none)")
 		synthGates  = flag.Int("synth-gates", 0, "ladder cap of 5-input exact synthesis (0 = default)")
@@ -121,10 +119,8 @@ func main() {
 		MaxTimeout:            *maxTimeout,
 		MaxConcurrent:         *concurrency,
 		MaxWorkersPerRequest:  *maxWorkers,
-		SharedCache:           *shared,
 		CacheFile:             *cacheFile,
 		CacheSnapshotInterval: *cacheSnap,
-		CacheLimit:            *cacheLimit,
 		Synth5: db.OnDemandOptions{
 			MaxConflicts:    *synthConfl,
 			Timeout:         *synthTime,
@@ -191,8 +187,8 @@ func main() {
 		log.Fatal(err)
 	}
 	<-drained
-	// After the HTTP drain the cache is quiescent: write the final
-	// snapshot so the next process warm-starts from the full working set.
+	// After the HTTP drain the store is quiescent: write the final
+	// snapshot so the next process warm-starts from every learned class.
 	if err := srv.Close(); err != nil {
 		log.Printf("closing server: %v", err)
 	}

@@ -67,11 +67,11 @@ func TestOnDemandAltMenuSurvivesSnapshot(t *testing.T) {
 	entries, _ := s.snapshotState()
 
 	path := filepath.Join(t.TempDir(), "npn.cache")
-	if _, err := SaveSnapshotFile(path, nil, s); err != nil {
+	if _, err := SaveSnapshotFile(path, s); err != nil {
 		t.Fatal(err)
 	}
 	warm := NewOnDemand(OnDemandOptions{})
-	if _, err := LoadSnapshotFile(path, nil, nil, warm); err != nil {
+	if _, err := LoadSnapshotFile(path, warm); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := warm.Candidates(), s.Candidates(); got != want {

@@ -53,6 +53,42 @@ func (d *DB) Lookup(f tt.TT) (*Entry, npn.Transform, bool) {
 	return &d.entries[i], t, true
 }
 
+// Cache memoizes Lookup for one goroutine: a plain map from 4-input
+// truth table to lookup result, with no locks, so each rewrite
+// evaluation worker owns its own. It holds *Entry pointers of the DB it
+// was filled through and must not be used with another DB.
+type Cache struct {
+	m map[uint16]cacheVal
+}
+
+// cacheVal is one memoized lookup result. ok is false for functions whose
+// NPN class is absent from the DB (only possible with partial databases).
+type cacheVal struct {
+	entry *Entry
+	t     npn.Transform
+	ok    bool
+}
+
+// NewCache returns an empty cache.
+func NewCache() *Cache { return &Cache{m: make(map[uint16]cacheVal)} }
+
+// LookupCached is Lookup memoized through c: identical in result, with
+// the canonicalization and class lookup skipped on a hit, which hit
+// reports so callers can count their own traffic. f must have exactly 4
+// variables, like Lookup's.
+func (d *DB) LookupCached(f tt.TT, c *Cache) (e *Entry, t npn.Transform, ok, hit bool) {
+	if f.N != 4 {
+		panic(fmt.Sprintf("db: LookupCached requires a 4-variable function, got %d", f.N))
+	}
+	key := uint16(f.Bits)
+	if v, found := c.m[key]; found {
+		return v.entry, v.t, v.ok, true
+	}
+	e, t, ok = d.Lookup(f)
+	c.m[key] = cacheVal{entry: e, t: t, ok: ok}
+	return e, t, ok, false
+}
+
 // Build instantiates a minimum MIG computing f (any function of up to 4
 // variables) inside m over the given leaf signals. Missing leaves are
 // padded with constant 0; they can only be selected by the transform for

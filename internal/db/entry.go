@@ -149,7 +149,7 @@ func FromMIG(rep tt.TT, m *mig.MIG) (Entry, error) {
 	if m.NumPIs() != rep.N || m.NumPOs() != 1 {
 		return Entry{}, fmt.Errorf("db: entry MIG must be %d inputs / 1 output, got %d/%d", rep.N, m.NumPIs(), m.NumPOs())
 	}
-	clean, _ := m.Cleanup()
+	clean := m.Compact()
 	e := Entry{Rep: rep, Out: clean.Output(0)}
 	for id := 1 + rep.N; id < clean.NumNodes(); id++ {
 		e.Gates = append(e.Gates, clean.Fanin(mig.ID(id)))

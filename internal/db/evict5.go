@@ -2,10 +2,9 @@ package db
 
 import "sync/atomic"
 
-// Bounding the on-demand store (the ROADMAP item the cut-cache's
-// SetLimit already solved at K = 4). The store runs the cut-cache's
-// second-chance clock (evict.go) over its own reference bits: learned
-// classes live in slots carrying a reference bit, the bit is set by read-locked hits, and when the store
+// Bounding the on-demand store. The store runs a second-chance clock
+// over its own reference bits: learned classes live in slots carrying a
+// reference bit, the bit is set by read-locked hits, and when the store
 // is full the clock hand sweeps the ring of keys, granting one second
 // chance (clearing the bit) before evicting the first un-referenced
 // victim. An evicted class is simply re-learned on next contact — the
@@ -76,4 +75,53 @@ func (s *OnDemand) insertLocked(key uint32, e *Entry) {
 func (s *OnDemand) refTestAndClear(key uint32) bool {
 	sl := s.entries[key]
 	return sl != nil && sl.ref.Swap(false)
+}
+
+// clock is the second-chance ring: keys in insertion order and the
+// sweeping hand. The reference bits stay with the owner, whose
+// test-and-clear each eviction takes; the owner's write lock guards the
+// ring.
+type clock[K comparable] struct {
+	ring []K
+	hand int
+}
+
+// sweep advances the hand past every key whose reference bit
+// referenced reports set (clearing it: the key's second chance) and
+// returns the ring index of the first key without one. The ring must not
+// be empty.
+func (c *clock[K]) sweep(referenced func(K) bool) int {
+	for {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		if !referenced(c.ring[c.hand]) {
+			return c.hand
+		}
+		c.hand++
+	}
+}
+
+// push appends key, or, once the ring holds limit keys (limit > 0),
+// evicts the sweep's victim and reuses its slot for key. It reports the
+// victim.
+func (c *clock[K]) push(key K, limit int, referenced func(K) bool) (victim K, evicted bool) {
+	if limit <= 0 || len(c.ring) < limit {
+		c.ring = append(c.ring, key)
+		return victim, false
+	}
+	i := c.sweep(referenced)
+	victim, c.ring[i] = c.ring[i], key
+	c.hand++
+	return victim, true
+}
+
+// pop evicts the sweep's victim and shrinks the ring (the immediate
+// shrink of a lowered limit; the steady state reuses slots instead).
+func (c *clock[K]) pop(referenced func(K) bool) K {
+	i := c.sweep(referenced)
+	victim, last := c.ring[i], len(c.ring)-1
+	c.ring[i] = c.ring[last]
+	c.ring = c.ring[:last]
+	return victim
 }

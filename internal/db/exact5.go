@@ -63,8 +63,8 @@ type OnDemandOptions struct {
 	// another cooldown. Default 30s when BreakerFailures > 0.
 	BreakerCooldown time.Duration
 	// Limit bounds the learned classes kept in memory (0, the default,
-	// keeps everything). At the bound the store evicts with the same
-	// second-chance clock as the cut-cache; evicted classes are simply
+	// keeps everything). At the bound the store evicts with a
+	// second-chance clock (evict5.go); evicted classes are simply
 	// re-learned on next contact. Like Timeout, a bound trades the
 	// store's learn-once determinism for predictable memory, so it is
 	// opt-in and meant for long-running servers (migserve -synth-limit).

@@ -2,10 +2,10 @@ package db
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"mighash/internal/npn"
 	"mighash/internal/tt"
 )
 
@@ -50,22 +50,9 @@ func FuzzRead(f *testing.F) {
 
 // FuzzRestore throws arbitrary bytes at the snapshot decoder. Corrupt,
 // truncated, or version-skewed input must return an error and leave the
-// cache cold — never panic, never install entries from a bad stream.
+// store cold — never panic, never install classes from a bad stream.
 func FuzzRestore(f *testing.F) {
-	d, err := Load()
-	if err != nil {
-		f.Fatalf("embedded database unavailable: %v", err)
-	}
-	c := NewCache()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		d.LookupCached(tt.New(4, rng.Uint64()&0xFFFF), c)
-	}
-	var snap bytes.Buffer
-	if _, err := c.Snapshot(&snap); err != nil {
-		f.Fatal(err)
-	}
-	good := snap.Bytes()
+	good := snapshotBytes(f, filledStore(f, 200, 42))
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:4])
@@ -77,30 +64,28 @@ func FuzzRestore(f *testing.F) {
 	corrupt[len(corrupt)/3] ^= 0xFF
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, input []byte) {
-		warm := NewCache()
-		n, err := warm.Restore(bytes.NewReader(input), d)
+		warm := NewOnDemand(OnDemandOptions{})
+		n, err := ReadSnapshot(bytes.NewReader(input), warm)
 		if err != nil {
-			if warm.Len() != 0 {
-				t.Fatalf("failed restore installed %d entries", warm.Len())
+			if warm.Len() != 0 || warm.NegativeLen() != 0 {
+				t.Fatalf("failed restore installed %d/%d classes", warm.Len(), warm.NegativeLen())
 			}
 			return
 		}
-		if n != warm.Len() {
-			t.Fatalf("restore reported %d entries but cache holds %d", n, warm.Len())
+		if n != warm.Len()+warm.NegativeLen() {
+			t.Fatalf("restore reported %d records but the store holds %d/%d", n, warm.Len(), warm.NegativeLen())
 		}
-		// Every survivor must behave exactly like a cold lookup.
-		// A valid-checksum stream may carry any transform satisfying
-		// Apply(t, rep) = key (Restore verifies exactly that), so only the
-		// entry identity and ok flag are pinned against a cold lookup.
-		for v := 0; v < 1<<16; v += 257 {
-			ft := tt.New(4, uint64(v))
-			e, _, ok, hit := d.LookupCached(ft, warm)
-			if !hit {
-				continue
+		// Every learned survivor computes its representative, and every
+		// representative is semi-canonical (ReadSnapshot verifies both).
+		entries, negs := warm.snapshotState()
+		for _, e := range entries {
+			if e.Eval() != e.Rep || !npn.IsCanonical5(e.Rep) {
+				t.Fatalf("restored class %v is not a verified learned entry", e.Rep)
 			}
-			we, _, wok := d.Lookup(ft)
-			if ok != wok || e != we {
-				t.Fatalf("%04x: restored entry diverges from cold lookup", v)
+		}
+		for _, k := range negs {
+			if !npn.IsCanonical5(tt.New(5, uint64(k))) {
+				t.Fatalf("restored negative %#x is not semi-canonical", k)
 			}
 		}
 	})

@@ -22,12 +22,11 @@ import (
 //
 //	magic   4 bytes  "MHC\x03" (the trailing byte is the format version)
 //	count   uvarint  number of records
-//	records count ×, each introduced by a width/kind tag byte:
-//	  kind 1 — memoized 4-input lookup (the NPN cut-cache):
-//	    key   uvarint  the 16-bit truth table of the cached cut function
-//	    flags 1 byte   bit 0: ok, bit 1: NegOut, bits 2–5: input Flip mask
-//	    perm  1 byte   bits 2j..2j+1: Perm[j], the transform's input
-//	                   permutation
+//	records count ×, each introduced by a kind tag byte:
+//	  kind 1 — memoized 4-input lookup: never written, skipped on read
+//	    key   uvarint  the 16-bit truth table of a cut function
+//	    flags 1 byte   bit 0: ok (the record ends here when clear)
+//	    perm  1 byte   the transform's input permutation
 //	    rep   uvarint  the 16-bit NPN class representative
 //	  kind 2 — learned 5-input class (the on-demand store):
 //	    rep   uvarint  the 32-bit semi-canonical class representative
@@ -49,17 +48,16 @@ import (
 // alternative menus) is rejected like a corrupt one, so the process
 // starts cold and the next save rewrites the file in the current format.
 //
-// The format stores no pointers and no process-local state: kind-1
-// records name their class by representative and Restore rebinds them to
-// the loading process's database; kind-2 records carry the learned
-// structure itself and are re-verified by simulation (plus the
-// semi-canonicity of the representative) before installation — the
-// alternative implementations are verified against the same
-// representative, so a tampered menu cannot enter the store; kind-3
-// records re-seed the negative cache so a budget-blown class is not
-// re-proven hopeless by every process. Negative 4-input entries
-// (ok=false, only possible with partial databases) are not written:
-// their transform was never computed, so there is nothing to rebind.
+// Kind 1 records hold memoized 4-input lookups, which earlier releases
+// persisted. A 4-input lookup is one table load, so its memo no longer
+// outlives a pipeline run: files that carry kind 1 records keep their
+// 5-input classes, and the kind 1 records are parsed and dropped. The
+// format stores no pointers and no process-local state: kind-2 records carry the learned structure itself
+// and are re-verified by simulation (plus the semi-canonicity of the
+// representative) before installation — the alternative implementations
+// are verified against the same representative, so a tampered menu
+// cannot enter the store; kind-3 records re-seed the negative cache so a
+// budget-blown class is not re-proven hopeless by every process.
 const (
 	snapshotMagic   = "MHC"
 	snapshotVersion = 3
@@ -71,57 +69,18 @@ const (
 
 // ErrSnapshot wraps every snapshot decoding failure, so callers can
 // distinguish a corrupt or version-skewed snapshot (degrade to a cold
-// cache) from I/O errors on a healthy file.
+// store) from I/O errors on a healthy file.
 var ErrSnapshot = errors.New("db: invalid cache snapshot")
 
-// snapRecord is one decoded 4-input cache record before rebinding.
-type snapRecord struct {
-	key uint16
-	rep uint16
-	t   npn.Transform
-}
-
-// Snapshot writes a point-in-time copy of the cache to w in the binary
-// snapshot format and returns the number of records written; it is
-// WriteSnapshot without an on-demand store. The output is deterministic
-// (records are sorted by key) and safe to take while other goroutines
-// keep using the cache; concurrent insertions may or may not be
-// included. Negative entries are skipped — see the format comment — so
-// the count can trail Len on partial databases.
-func (c *Cache) Snapshot(w io.Writer) (int, error) {
-	return WriteSnapshot(w, c, nil)
-}
-
-// WriteSnapshot writes the cache and, when s is non-nil, the on-demand
-// store's learned and negative 5-input classes to w as one snapshot. It
-// returns the total number of records written. Either of c and s may be
-// nil. The output is deterministic for a given cache/store state.
-func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
-	type rec struct {
-		key uint16
-		v   cacheVal
-	}
-	var recs []rec
-	if c != nil {
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.RLock()
-			for k, v := range sh.m {
-				if v.ok {
-					recs = append(recs, rec{key: k, v: v})
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	}
-	var entries []*Entry
-	var negatives []uint32
-	if s != nil {
-		entries, negatives = s.snapshotState()
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Rep.Bits < entries[j].Rep.Bits })
-		sort.Slice(negatives, func(i, j int) bool { return negatives[i] < negatives[j] })
-	}
+// WriteSnapshot writes the on-demand store's learned and negative
+// 5-input classes to w as one snapshot and returns the number of records
+// written. The output is deterministic for a given store state
+// (records are sorted by representative) and safe to take while other
+// goroutines keep using the store.
+func WriteSnapshot(w io.Writer, s *OnDemand) (int, error) {
+	entries, negatives := s.snapshotState()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Rep.Bits < entries[j].Rep.Bits })
+	sort.Slice(negatives, func(i, j int) bool { return negatives[i] < negatives[j] })
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
@@ -130,17 +89,10 @@ func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
 		n := binary.PutUvarint(buf[:], v)
 		bw.Write(buf[:n])
 	}
-	total := len(recs) + len(entries) + len(negatives)
+	total := len(entries) + len(negatives)
 	bw.WriteString(snapshotMagic)
 	bw.WriteByte(snapshotVersion)
 	writeUvarint(uint64(total))
-	for _, r := range recs {
-		bw.WriteByte(recCache4)
-		writeUvarint(uint64(r.key))
-		bw.WriteByte(packFlags(r.v.t, true))
-		bw.WriteByte(packPerm(r.v.t))
-		writeUvarint(uint64(r.v.entry.Rep.Bits))
-	}
 	writeBody := func(e *Entry) {
 		writeUvarint(uint64(len(e.Gates)))
 		writeUvarint(uint64(e.Out))
@@ -177,36 +129,6 @@ func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
 	return total, err
 }
 
-func packFlags(t npn.Transform, ok bool) byte {
-	var f byte
-	if ok {
-		f |= 1
-	}
-	if t.NegOut {
-		f |= 1 << 1
-	}
-	f |= (t.Flip & 0x0F) << 2
-	return f
-}
-
-func packPerm(t npn.Transform) byte {
-	var p byte
-	for j := 0; j < 4; j++ {
-		p |= byte(t.Perm[j]&3) << (2 * uint(j))
-	}
-	return p
-}
-
-func unpackTransform(flags, perm byte) npn.Transform {
-	t := npn.Transform{N: 4}
-	t.NegOut = flags&(1<<1) != 0
-	t.Flip = (flags >> 2) & 0x0F
-	for j := 0; j < 4; j++ {
-		t.Perm[j] = int(perm>>(2*uint(j))) & 3
-	}
-	return t
-}
-
 // crcByteReader counts every byte it hands out into a CRC-32, so the
 // decoder can verify the trailer without buffering the whole snapshot.
 type crcByteReader struct {
@@ -232,35 +154,18 @@ func (cr *crcByteReader) read(p []byte) error {
 	return nil
 }
 
-// Restore reads a snapshot from r and installs its 4-input cache records
-// into c, rebinding every record to the loading process's database d; it
-// is ReadSnapshot without an on-demand store (learned-class records in
-// the stream are validated but skipped). It returns the number of
-// entries installed.
-func (c *Cache) Restore(r io.Reader, d *DB) (int, error) {
-	return ReadSnapshot(r, d, c, nil)
-}
-
-// ReadSnapshot decodes one snapshot from r and installs its records:
-// 4-input cache records into c (rebound through d — the class named by
-// the stored representative is looked up in d, records whose class d
-// lacks are skipped, and each surviving transform is verified against
-// its key, so a snapshot can never install an entry the equivalent cold
-// Lookup would not have produced), learned and negative 5-input classes
-// into s (learned structures are re-verified by simulation and their
-// representatives checked semi-canonical). A nil c or s skips the
-// corresponding record kinds. It returns the number of records
+// ReadSnapshot decodes one snapshot from r and installs its learned and
+// negative 5-input classes into s (learned structures are re-verified by
+// simulation and their representatives checked semi-canonical); kind 1
+// records are parsed and skipped. It returns the number of records
 // installed.
 //
 // Decoding is all-or-nothing: on any error (truncation, corruption,
 // checksum or version mismatch, a record failing verification — all
-// wrapping ErrSnapshot, distinguishable from I/O errors) neither c nor s
-// is changed, so callers degrade to a cold cache. Existing contents are
-// kept; restored records do not overwrite keys already present.
-func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
-	if c != nil && d == nil {
-		return 0, fmt.Errorf("%w: restore requires a database to rebind entries", ErrSnapshot)
-	}
+// wrapping ErrSnapshot, distinguishable from I/O errors) s is not
+// changed, so callers degrade to a cold store. Existing contents are
+// kept; restored records do not overwrite classes already present.
+func ReadSnapshot(r io.Reader, s *OnDemand) (int, error) {
 	cr := &crcByteReader{r: bufio.NewReader(r)}
 	var head [4]byte
 	if err := cr.read(head[:]); err != nil {
@@ -276,51 +181,34 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: bad record count: %v", ErrSnapshot, err)
 	}
-	// 4-input keys are 16-bit and 5-input classes are bounded by the
-	// budgeted synthesis reach, so no honest snapshot outgrows this; the
-	// bound also stops a corrupt count from allocating unbounded memory
-	// before the checksum check can reject it.
+	// At most 64Ki kind 1 records exist (one per 4-input function) and
+	// 5-input classes are bounded by the budgeted synthesis reach, so no
+	// honest snapshot outgrows this; the bound also stops a corrupt count
+	// from allocating unbounded memory before the checksum check can
+	// reject it.
 	if count > 1<<21 {
 		return 0, fmt.Errorf("%w: implausible record count %d", ErrSnapshot, count)
 	}
 	var (
-		recs    []snapRecord
 		learned []Entry
 		negs    []uint32
 	)
-	readCache4 := func(i uint64) error {
-		key, err := binary.ReadUvarint(cr)
+	// skipCache4 consumes one kind 1 record: key, flags and, when the
+	// record was ok, the permutation byte and the representative.
+	skipCache4 := func(i uint64) error {
+		_, err := binary.ReadUvarint(cr)
+		var flags byte
+		if err == nil {
+			flags, err = cr.ReadByte()
+		}
+		if err == nil && flags&1 != 0 {
+			if _, err = cr.ReadByte(); err == nil {
+				_, err = binary.ReadUvarint(cr)
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 		}
-		if key > 0xFFFF {
-			return fmt.Errorf("%w: record %d key %#x exceeds 16 bits", ErrSnapshot, i, key)
-		}
-		flags, err := cr.ReadByte()
-		if err != nil {
-			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
-		}
-		if flags&1 == 0 {
-			// Negative record: tolerated for forward compatibility but
-			// never rebound (the loading DB may know the class).
-			return nil
-		}
-		perm, err := cr.ReadByte()
-		if err != nil {
-			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
-		}
-		rep, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
-		}
-		if rep > 0xFFFF {
-			return fmt.Errorf("%w: record %d representative %#x exceeds 16 bits", ErrSnapshot, i, rep)
-		}
-		recs = append(recs, snapRecord{
-			key: uint16(key),
-			rep: uint16(rep),
-			t:   unpackTransform(flags, perm),
-		})
 		return nil
 	}
 	// readBody decodes one k/out/gates implementation body — shared by
@@ -388,9 +276,6 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 			}
 			e.Alts = append(e.Alts, alt)
 		}
-		if s == nil {
-			return nil // structurally validated, but no store to feed
-		}
 		// Semantic verification — by simulation and semi-canonicity — so
 		// a tampered snapshot cannot install an entry the equivalent cold
 		// synthesis would not have produced. Alternatives must compute
@@ -420,9 +305,6 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		if rep > 0xFFFFFFFF {
 			return fmt.Errorf("%w: record %d representative %#x exceeds 32 bits", ErrSnapshot, i, rep)
 		}
-		if s == nil {
-			return nil
-		}
 		if !npn.IsCanonical5(tt.New(5, rep)) {
 			return fmt.Errorf("%w: record %d negative representative %#x is not semi-canonical", ErrSnapshot, i, rep)
 		}
@@ -436,7 +318,7 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		}
 		switch kind {
 		case recCache4:
-			err = readCache4(i)
+			err = skipCache4(i)
 		case recClass5:
 			err = readClass5(i)
 		case recNeg5:
@@ -456,38 +338,7 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return 0, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrSnapshot, got, want)
 	}
 
-	// Rebind and verify before touching the cache, so a record that fails
-	// verification leaves the cache unchanged.
-	type bound struct {
-		key uint16
-		v   cacheVal
-	}
-	var installs []bound
-	if c != nil {
-		installs = make([]bound, 0, len(recs))
-		for _, r := range recs {
-			i, ok := d.byRep[r.rep]
-			if !ok {
-				continue // class unknown to this database; re-discover as a miss
-			}
-			e := &d.entries[i]
-			if got := r.t.Apply(e.Rep); uint16(got.Bits) != r.key {
-				return 0, fmt.Errorf("%w: record %04x: transform does not map class %04x onto it",
-					ErrSnapshot, r.key, r.rep)
-			}
-			installs = append(installs, bound{key: r.key, v: cacheVal{entry: e, t: r.t, ok: true}})
-		}
-	}
 	n := 0
-	for _, b := range installs {
-		sh := c.shard(b.key)
-		sh.mu.Lock()
-		if _, exists := sh.m[b.key]; !exists {
-			sh.insert(b.key, b.v)
-			n++
-		}
-		sh.mu.Unlock()
-	}
 	for i := range learned {
 		if s.add(&learned[i]) {
 			n++
@@ -501,21 +352,15 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 	return n, nil
 }
 
-// SaveFile atomically writes a snapshot of c to path; it is
-// SaveSnapshotFile without an on-demand store.
-func (c *Cache) SaveFile(path string) (int, error) {
-	return SaveSnapshotFile(path, c, nil)
-}
-
-// SaveSnapshotFile atomically writes a snapshot of c and s (either may
-// be nil) to path and returns the number of records written: the
+// SaveSnapshotFile atomically writes a snapshot of s to path and
+// returns the number of records written: the
 // snapshot is streamed to a temporary file in the same directory,
 // synced, and renamed over path, so readers never observe a partially
 // written snapshot and a crash mid-save leaves the previous snapshot
 // intact. An existing file keeps its permission bits; a fresh one is
 // created world-readable (0644) rather than with CreateTemp's private
 // 0600, so sidecar readers are not locked out.
-func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
+func SaveSnapshotFile(path string, s *OnDemand) (int, error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -541,7 +386,7 @@ func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
 		io.WriteString(f, snapshotMagic) // leave a genuinely partial write behind
 		return fail(err)
 	}
-	n, err := WriteSnapshot(f, c, s)
+	n, err := WriteSnapshot(f, s)
 	if err != nil {
 		return fail(err)
 	}
@@ -566,17 +411,11 @@ func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
 	return n, nil
 }
 
-// LoadFile restores the snapshot at path into c, rebinding entries
-// through d; it is LoadSnapshotFile without an on-demand store.
-func (c *Cache) LoadFile(path string, d *DB) (int, error) {
-	return LoadSnapshotFile(path, d, c, nil)
-}
-
-// LoadSnapshotFile restores the snapshot at path into c and s (see
+// LoadSnapshotFile restores the snapshot at path into s (see
 // ReadSnapshot). A missing file is reported as an error satisfying
 // errors.Is(err, fs.ErrNotExist), which callers treat as a cold start;
-// any ErrSnapshot error likewise leaves c and s unchanged.
-func LoadSnapshotFile(path string, d *DB, c *Cache, s *OnDemand) (int, error) {
+// any ErrSnapshot error likewise leaves s unchanged.
+func LoadSnapshotFile(path string, s *OnDemand) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -584,9 +423,9 @@ func LoadSnapshotFile(path string, d *DB, c *Cache, s *OnDemand) (int, error) {
 	defer f.Close()
 	// Failpoint "db/snapshot-load": a read failure on a healthy file
 	// (bad sector, truncated NFS read). Callers must degrade to a cold
-	// cache exactly as they do for ErrSnapshot corruption.
+	// store exactly as they do for ErrSnapshot corruption.
 	if err := fault.Hit("db/snapshot-load"); err != nil {
 		return 0, err
 	}
-	return ReadSnapshot(f, d, c, s)
+	return ReadSnapshot(f, s)
 }

@@ -5,33 +5,57 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"mighash/internal/npn"
 	"mighash/internal/tt"
 )
 
+// learned holds the two classes learnTwo synthesizes, learned once per
+// test binary: every caller gets a fresh store over the same entries.
+var learned struct {
+	once    sync.Once
+	entries []*Entry
+	negRep  uint32
+	err     string
+}
+
 // learnTwo returns a store that has learned two classes and
 // negative-cached one.
-func learnTwo(t *testing.T) *OnDemand {
+func learnTwo(t testing.TB) *OnDemand {
 	t.Helper()
-	s := NewOnDemand(OnDemandOptions{})
-	for _, f := range []tt.TT{and5(), majority5()} {
-		if _, _, ok := s.Lookup(context.Background(), f); !ok {
-			t.Fatalf("class of %v blew the default budget", f)
+	learned.once.Do(func() {
+		s := NewOnDemand(OnDemandOptions{})
+		for _, f := range []tt.TT{and5(), majority5()} {
+			if _, _, ok := s.Lookup(context.Background(), f); !ok {
+				learned.err = fmt.Sprintf("class of %v blew the default budget", f)
+				return
+			}
 		}
+		hard := NewOnDemand(OnDemandOptions{MaxConflicts: 1})
+		// Learn the negative marker through a separate 1-conflict store
+		// so the main store's entries stay real, then transplant the key.
+		f := tt.New(5, 0x9D2B64E817A3C55F)
+		if _, _, ok := hard.Lookup(context.Background(), f); ok {
+			learned.err = "1-conflict budget unexpectedly succeeded"
+			return
+		}
+		rep, _ := npn.Canonize5(f)
+		learned.entries, _ = s.snapshotState()
+		learned.negRep = uint32(rep.Bits)
+	})
+	if learned.err != "" {
+		t.Fatal(learned.err)
 	}
-	hard := NewOnDemand(OnDemandOptions{MaxConflicts: 1})
-	// Learn the negative marker through a separate 1-conflict store so
-	// the main store's entries stay real, then transplant the key.
-	f := tt.New(5, 0x9D2B64E817A3C55F)
-	if _, _, ok := hard.Lookup(context.Background(), f); ok {
-		t.Fatal("1-conflict budget unexpectedly succeeded")
+	s := NewOnDemand(OnDemandOptions{})
+	for _, e := range learned.entries {
+		s.add(e)
 	}
-	rep, _ := npn.Canonize5(f)
-	s.addNegative(uint32(rep.Bits))
+	s.addNegative(learned.negRep)
 	return s
 }
 
@@ -40,19 +64,17 @@ func learnTwo(t *testing.T) *OnDemand {
 // re-synthesizes nothing.
 func TestSnapshotRoundTripsStore(t *testing.T) {
 	s := learnTwo(t)
-	c := NewCache()
-	populate(t, load(t), c, 500, 42) // some 4-input cache records alongside
 	path := filepath.Join(t.TempDir(), "npn.cache")
-	wrote, err := SaveSnapshotFile(path, c, s)
+	wrote, err := SaveSnapshotFile(path, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := c.Len() + s.Len() + s.NegativeLen(); wrote != want {
+	if want := s.Len() + s.NegativeLen(); wrote != want {
 		t.Fatalf("wrote %d records, want %d", wrote, want)
 	}
 
-	c2, s2 := NewCache(), NewOnDemand(OnDemandOptions{})
-	got, err := LoadSnapshotFile(path, load(t), c2, s2)
+	s2 := NewOnDemand(OnDemandOptions{})
+	got, err := LoadSnapshotFile(path, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +100,10 @@ func TestSnapshotRoundTripsStore(t *testing.T) {
 	}
 	// And the snapshot is deterministic.
 	var a, b bytes.Buffer
-	if _, err := WriteSnapshot(&a, c, s); err != nil {
+	if _, err := WriteSnapshot(&a, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteSnapshot(&b, c2, s2); err != nil {
+	if _, err := WriteSnapshot(&b, s2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -89,31 +111,13 @@ func TestSnapshotRoundTripsStore(t *testing.T) {
 	}
 }
 
-// TestRestoreSkipsStoreRecordsWithoutStore: a combined snapshot loaded
-// through the cache-only API validates and skips the 5-input records.
-func TestRestoreSkipsStoreRecordsWithoutStore(t *testing.T) {
-	s := learnTwo(t)
-	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, nil, s); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	n, err := c.Restore(bytes.NewReader(buf.Bytes()), load(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 || c.Len() != 0 {
-		t.Fatalf("cache-only restore installed %d records", n)
-	}
-}
-
 // TestRestoreRejectsTamperedClass5: flipping a bit inside a learned
 // class's structure must fail the whole restore (simulation check),
-// leaving cache and store cold.
+// leaving the store cold.
 func TestRestoreRejectsTamperedClass5(t *testing.T) {
 	s := learnTwo(t)
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, nil, s); err != nil {
+	if _, err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -122,7 +126,7 @@ func TestRestoreRejectsTamperedClass5(t *testing.T) {
 	raw[len(raw)/2] ^= 0x04
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 	s2 := NewOnDemand(OnDemandOptions{})
-	if _, err := ReadSnapshot(bytes.NewReader(raw), nil, nil, s2); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(raw), s2); err == nil {
 		t.Fatal("tampered snapshot restored cleanly")
 	} else if !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("error %v does not wrap ErrSnapshot", err)

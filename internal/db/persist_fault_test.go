@@ -17,16 +17,15 @@ import (
 // still restores, no *.tmp* file leaks, and once the fault clears the
 // next save succeeds.
 func TestSaveSnapshotFileCrashSafety(t *testing.T) {
-	d := mustLoad(t)
 	for _, fp := range []string{"db/snapshot-write", "db/snapshot-rename"} {
 		t.Run(filepath.Base(fp), func(t *testing.T) {
 			defer fault.Reset()
 			dir := t.TempDir()
 			path := filepath.Join(dir, "mig.cache")
 
-			c := NewCache()
-			populate(t, d, c, 500, 11)
-			n, err := SaveSnapshotFile(path, c, nil)
+			s := NewOnDemand(OnDemandOptions{})
+			addNegatives(s, 200, 11)
+			n, err := SaveSnapshotFile(path, s)
 			if err != nil {
 				t.Fatalf("initial save: %v", err)
 			}
@@ -35,13 +34,13 @@ func TestSaveSnapshotFileCrashSafety(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Grow the cache so a save that wrongly went through would
+			// Grow the store so a save that wrongly went through would
 			// change the file — byte-equality below then proves it didn't.
-			populate(t, d, c, 500, 12)
+			addNegatives(s, 200, 12)
 			if err := fault.Enable(fp, "return(injected EIO)"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := SaveSnapshotFile(path, c, nil); !errors.Is(err, fault.ErrInjected) {
+			if _, err := SaveSnapshotFile(path, s); !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("faulty save returned %v, want ErrInjected", err)
 			}
 			got, err := os.ReadFile(path)
@@ -51,8 +50,7 @@ func TestSaveSnapshotFileCrashSafety(t *testing.T) {
 			if !bytes.Equal(got, golden) {
 				t.Fatalf("failed save changed the live snapshot (%d bytes, was %d)", len(got), len(golden))
 			}
-			warm := NewCache()
-			if m, err := warm.Restore(bytes.NewReader(got), d); err != nil || m != n {
+			if m, err := ReadSnapshot(bytes.NewReader(got), NewOnDemand(OnDemandOptions{})); err != nil || m != n {
 				t.Fatalf("live snapshot no longer restores: %d records, err %v (want %d, nil)", m, err, n)
 			}
 			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
@@ -60,15 +58,14 @@ func TestSaveSnapshotFileCrashSafety(t *testing.T) {
 			}
 
 			fault.Disable(fp)
-			n2, err := SaveSnapshotFile(path, c, nil)
+			n2, err := SaveSnapshotFile(path, s)
 			if err != nil {
 				t.Fatalf("save after clearing the fault: %v", err)
 			}
 			if n2 <= n {
 				t.Fatalf("recovered save wrote %d records, want > %d", n2, n)
 			}
-			warm2 := NewCache()
-			if m, err := warm2.LoadFile(path, d); err != nil || m != n2 {
+			if m, err := LoadSnapshotFile(path, NewOnDemand(OnDemandOptions{})); err != nil || m != n2 {
 				t.Fatalf("recovered snapshot restores %d records, err %v (want %d, nil)", m, err, n2)
 			}
 		})
@@ -76,17 +73,16 @@ func TestSaveSnapshotFileCrashSafety(t *testing.T) {
 }
 
 // TestLoadSnapshotFileInjectedReadError: a read fault on a healthy
-// snapshot file surfaces as an error and leaves the cache cold — the
+// snapshot file surfaces as an error and leaves the store cold — the
 // same degraded path as ErrSnapshot corruption — and the very next load
 // warm-starts normally once the fault clears.
 func TestLoadSnapshotFileInjectedReadError(t *testing.T) {
 	defer fault.Reset()
-	d := mustLoad(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mig.cache")
-	c := NewCache()
-	populate(t, d, c, 300, 13)
-	n, err := SaveSnapshotFile(path, c, nil)
+	s := NewOnDemand(OnDemandOptions{})
+	addNegatives(s, 100, 13)
+	n, err := SaveSnapshotFile(path, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +90,16 @@ func TestLoadSnapshotFileInjectedReadError(t *testing.T) {
 	if err := fault.Enable("db/snapshot-load", "return(bad sector)"); err != nil {
 		t.Fatal(err)
 	}
-	cold := NewCache()
-	if _, err := LoadSnapshotFile(path, d, cold, nil); !errors.Is(err, fault.ErrInjected) {
+	cold := NewOnDemand(OnDemandOptions{})
+	if _, err := LoadSnapshotFile(path, cold); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("faulty load returned %v, want ErrInjected", err)
 	}
-	if cold.Len() != 0 {
-		t.Fatalf("failed load left %d entries in the cache, want 0", cold.Len())
+	if cold.Len() != 0 || cold.NegativeLen() != 0 {
+		t.Fatalf("failed load left %d/%d classes in the store, want none", cold.Len(), cold.NegativeLen())
 	}
 
 	fault.Disable("db/snapshot-load")
-	if m, err := LoadSnapshotFile(path, d, cold, nil); err != nil || m != n {
+	if m, err := LoadSnapshotFile(path, cold); err != nil || m != n {
 		t.Fatalf("load after clearing the fault: %d records, err %v (want %d, nil)", m, err, n)
 	}
 }

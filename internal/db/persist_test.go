@@ -9,169 +9,232 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
+	"mighash/internal/npn"
 	"mighash/internal/tt"
 )
 
-// populate fills c through d with n pseudo-random 4-variable functions
-// and returns the keys that were looked up.
-func populate(t *testing.T, d *DB, c *Cache, n int, seed int64) []uint16 {
-	t.Helper()
+// addNegatives negative-caches the classes of n pseudo-random 5-input
+// functions in s: cheap, genuinely semi-canonical store content.
+func addNegatives(s *OnDemand, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([]uint16, 0, n)
 	for i := 0; i < n; i++ {
-		k := uint16(rng.Uint64())
-		d.LookupCached(tt.New(4, uint64(k)), c)
-		keys = append(keys, k)
+		rep, _ := npn.Canonize5(tt.New(5, rng.Uint64()&0xFFFFFFFF))
+		s.addNegative(uint32(rep.Bits))
 	}
-	return keys
 }
 
-// TestSnapshotRoundTrip: restoring a snapshot into a fresh cache yields
-// the same entries, transforms and ok flags for every key, rebound to
-// the loading DB, and every restored key is a hit.
+// filledStore returns learnTwo's store plus n negative classes.
+func filledStore(t testing.TB, n int, seed int64) *OnDemand {
+	t.Helper()
+	s := learnTwo(t)
+	addNegatives(s, n, seed)
+	return s
+}
+
+func snapshotBytes(t testing.TB, s *OnDemand) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := WriteSnapshot(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// records returns the record section of s's snapshot (between the count
+// and the checksum) and the number of records in it.
+func records(t testing.TB, s *OnDemand) ([]byte, int) {
+	t.Helper()
+	raw := snapshotBytes(t, s)
+	raw = raw[len(snapshotMagic)+1 : len(raw)-4]
+	n, w := binary.Uvarint(raw)
+	return raw[w:], int(n)
+}
+
+// cache4Records encodes one kind 1 record per key as the format wrote
+// the 4-input cut-cache: key, flags (ok, NegOut, Flip), permutation and
+// representative, each lookup bound through d. Versions 2 and 3 tag each
+// record with its kind; version 1 did not.
+func cache4Records(d *DB, tagged bool, keys ...uint16) []byte {
+	var b []byte
+	for _, k := range keys {
+		e, tr, _ := d.Lookup(tt.New(4, uint64(k)))
+		if tagged {
+			b = append(b, recCache4)
+		}
+		b = binary.AppendUvarint(b, uint64(k))
+		flags := byte(1) | (tr.Flip&0x0F)<<2
+		if tr.NegOut {
+			flags |= 1 << 1
+		}
+		var perm byte
+		for j := 0; j < 4; j++ {
+			perm |= byte(tr.Perm[j]&3) << (2 * j)
+		}
+		b = append(b, flags, perm)
+		b = binary.AppendUvarint(b, e.Rep.Bits)
+	}
+	return b
+}
+
+// legacySnapshot seals count records into a well-formed, checksummed
+// stream of the given format version.
+func legacySnapshot(version byte, count int, recs ...[]byte) []byte {
+	out := append([]byte(snapshotMagic), version)
+	out = binary.AppendUvarint(out, uint64(count))
+	for _, r := range recs {
+		out = append(out, r...)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+var cache4Keys = []uint16{0x6996, 0xE8E8, 0x8000, 0x0001, 0x1234, 0xFFFF}
+
+// TestSnapshotRoundTrip: restoring a snapshot into a fresh store yields
+// the same learned classes — structure, alternatives and all — and the
+// same negative classes, and reports every record installed.
 func TestSnapshotRoundTrip(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	keys := populate(t, d, c, 5000, 1)
-
+	s := filledStore(t, 300, 1)
 	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	warm := NewCache()
-	n, err := warm.Restore(bytes.NewReader(buf.Bytes()), d)
+	wrote, err := WriteSnapshot(&buf, s)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatal(err)
 	}
-	if n != c.Len() || warm.Len() != c.Len() {
-		t.Fatalf("restored %d entries into a cache of %d, want %d", n, warm.Len(), c.Len())
+	warm := NewOnDemand(OnDemandOptions{})
+	n, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), warm)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	for _, k := range keys {
-		f := tt.New(4, uint64(k))
-		we, wt, wok, _ := d.LookupCached(f, c)
-		e, tr, ok, hit := d.LookupCached(f, warm)
-		if e != we || tr != wt || ok != wok {
-			t.Fatalf("%04x: restored lookup (%p,%v,%v) != original (%p,%v,%v)", k, e, tr, ok, we, wt, wok)
+	if n != wrote || warm.Len() != s.Len() || warm.NegativeLen() != s.NegativeLen() {
+		t.Fatalf("restored %d records into %d/%d classes, want %d into %d/%d",
+			n, warm.Len(), warm.NegativeLen(), wrote, s.Len(), s.NegativeLen())
+	}
+	shape := func(st *OnDemand) map[uint64][]Entry {
+		es, _ := st.snapshotState()
+		m := make(map[uint64][]Entry)
+		for _, e := range es {
+			for _, c := range append([]Entry{*e}, e.Alts...) {
+				m[e.Rep.Bits] = append(m[e.Rep.Bits], Entry{Rep: c.Rep, Gates: c.Gates, Out: c.Out})
+			}
 		}
-		if !hit {
-			t.Fatalf("%04x: restored entry did not hit", k)
+		return m
+	}
+	if !reflect.DeepEqual(shape(warm), shape(s)) {
+		t.Fatal("restored learned classes differ from the originals")
+	}
+	_, negs := s.snapshotState()
+	for _, k := range negs {
+		if !warm.negative[k] {
+			t.Fatalf("negative class %#x not restored", k)
 		}
 	}
 }
 
-// TestSnapshotDeterministic: two snapshots of the same cache are
-// byte-identical (records are sorted by key).
+// TestSnapshotDeterministic: two snapshots of one store are
+// byte-identical, and so is a snapshot of the same classes inserted in
+// another order (records are sorted by representative).
 func TestSnapshotDeterministic(t *testing.T) {
+	s := filledStore(t, 300, 2)
+	a, b := snapshotBytes(t, s), snapshotBytes(t, s)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two snapshots of one store differ (%d vs %d bytes)", len(a), len(b))
+	}
+	entries, negs := s.snapshotState()
+	r := NewOnDemand(OnDemandOptions{})
+	for i := len(negs) - 1; i >= 0; i-- {
+		r.addNegative(negs[i])
+	}
+	for i := len(entries) - 1; i >= 0; i-- {
+		r.add(entries[i])
+	}
+	if !bytes.Equal(snapshotBytes(t, r), a) {
+		t.Fatal("insertion order changed the snapshot")
+	}
+}
+
+// TestRestoreSkipsUnknownClasses: records of classes the loading store
+// does not keep are skipped, not errors. A version 3 stream that still
+// carries 4-input cut-cache records (kind 1) — before, between and after
+// the 5-input records — restores exactly its learned and negative
+// 5-input classes and counts only those.
+func TestRestoreSkipsUnknownClasses(t *testing.T) {
 	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 3000, 2)
-	var a, b bytes.Buffer
-	if _, err := c.Snapshot(&a); err != nil {
-		t.Fatal(err)
+	s := filledStore(t, 40, 3)
+	entries, negs := s.snapshotState()
+	pos, neg := NewOnDemand(OnDemandOptions{}), NewOnDemand(OnDemandOptions{})
+	for _, e := range entries {
+		pos.add(e)
 	}
-	if _, err := c.Snapshot(&b); err != nil {
-		t.Fatal(err)
+	for _, k := range negs {
+		neg.addNegative(k)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("two snapshots of one cache differ (%d vs %d bytes)", a.Len(), b.Len())
-	}
-}
+	l, nl := records(t, pos)
+	g, ng := records(t, neg)
+	head, mid := cache4Keys[:4], cache4Keys[4:]
+	stream := legacySnapshot(snapshotVersion, len(cache4Keys)+nl+ng,
+		cache4Records(d, true, head...), l, cache4Records(d, true, mid...), g)
 
-// TestSnapshotRebindsAcrossDBs: a snapshot taken against one DB instance
-// restores against a different instance of the same artifact, with every
-// entry pointer belonging to the loading DB.
-func TestSnapshotRebindsAcrossDBs(t *testing.T) {
-	d1 := mustLoad(t)
-	var art strings.Builder
-	if err := d1.Write(&art); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Read(strings.NewReader(art.String()))
+	warm := NewOnDemand(OnDemandOptions{})
+	n, err := ReadSnapshot(bytes.NewReader(stream), warm)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-
-	c := NewCache()
-	keys := populate(t, d1, c, 2000, 3)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	if want := s.Len() + s.NegativeLen(); n != want {
+		t.Fatalf("restored %d records, want the %d 5-input ones", n, want)
 	}
-	warm := NewCache()
-	if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d2); err != nil {
-		t.Fatalf("Restore against second DB: %v", err)
-	}
-	for _, k := range keys {
-		f := tt.New(4, uint64(k))
-		e, tr, ok, hit := d2.LookupCached(f, warm)
-		we, wt, wok := d2.Lookup(f)
-		if !hit {
-			t.Fatalf("%04x: not restored", k)
-		}
-		if e != we || tr != wt || ok != wok {
-			t.Fatalf("%04x: rebound lookup diverges from d2.Lookup", k)
-		}
+	if !bytes.Equal(snapshotBytes(t, warm), snapshotBytes(t, s)) {
+		t.Fatal("restored store differs from the one the stream was written from")
 	}
 }
 
-// legacySnapshot re-encodes c's 4-input records as a well-formed,
-// checksummed stream of a retired format version: 1 (no kind tags) or 2
-// (kind-tagged records), so rejecting it exercises the version check
-// alone.
-func legacySnapshot(c *Cache, version byte) []byte {
-	var body bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	wu := func(v uint64) { body.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	n := 0
-	for i := range c.shards {
-		for k, v := range c.shards[i].m {
-			if !v.ok {
-				continue
-			}
-			if version == 2 {
-				body.WriteByte(recCache4)
-			}
-			wu(uint64(k))
-			body.WriteByte(packFlags(v.t, true))
-			body.WriteByte(packPerm(v.t))
-			wu(uint64(v.entry.Rep.Bits))
-			n++
+// TestRestoreSkipsStoreRecordsWithoutStore: kind 1 records belong to the
+// 4-input cut-cache, a store the loader no longer has. A stream of only
+// such records validates and installs nothing, leaving a non-empty store
+// unchanged; the skipped records are still parsed, so a stream cut
+// inside one fails like any truncation and changes nothing either.
+func TestRestoreSkipsStoreRecordsWithoutStore(t *testing.T) {
+	d := mustLoad(t)
+	stream := legacySnapshot(snapshotVersion, len(cache4Keys), cache4Records(d, true, cache4Keys...))
+
+	st := NewOnDemand(OnDemandOptions{})
+	addNegatives(st, 5, 4)
+	before := snapshotBytes(t, st)
+	n, err := ReadSnapshot(bytes.NewReader(stream), st)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if n != 0 || !bytes.Equal(snapshotBytes(t, st), before) {
+		t.Fatalf("a stream of kind 1 records installed %d records", n)
+	}
+
+	first := cache4Records(d, true, cache4Keys[0])
+	hdr := len(snapshotMagic) + 1 + len(binary.AppendUvarint(nil, uint64(len(cache4Keys))))
+	for cut := hdr + 1; cut < hdr+len(first); cut++ {
+		if _, err := ReadSnapshot(bytes.NewReader(stream[:cut]), st); !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("cut at byte %d: err = %v, want ErrSnapshot", cut, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, st), before) {
+			t.Fatalf("cut at byte %d: failed restore changed the store", cut)
 		}
 	}
-	var out bytes.Buffer
-	out.WriteString(snapshotMagic)
-	out.WriteByte(version)
-	out.Write(tmp[:binary.PutUvarint(tmp[:], uint64(n))])
-	out.Write(body.Bytes())
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out.Bytes()))
-	out.Write(sum[:])
-	return out.Bytes()
 }
 
 // TestRestoreRejectsCorruption: version skew (including the retired
 // versions 1 and 2), bad magic, truncation, a flipped byte, and garbage
-// all error out and leave the cache and the store cold.
+// all error out and leave the store cold.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 1000, 4)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
+	good := snapshotBytes(t, filledStore(t, 300, 4))
+	n := len(cache4Keys)
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": append([]byte("XXX\x01"), good[4:]...),
 		"version skew": append([]byte(snapshotMagic+"\x63"),
 			good[4:]...),
-		"version 1":        legacySnapshot(c, 1),
-		"version 2":        legacySnapshot(c, 2),
+		"version 1":        legacySnapshot(1, n, cache4Records(d, false, cache4Keys...)),
+		"version 2":        legacySnapshot(2, n, cache4Records(d, true, cache4Keys...)),
 		"truncated header": good[:2],
 		"truncated body":   good[:len(good)/2],
 		"missing checksum": good[:len(good)-4],
@@ -182,224 +245,106 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	cases["flipped byte"] = flipped
 
 	for name, data := range cases {
-		warm := NewCache()
 		store := NewOnDemand(OnDemandOptions{})
-		n, err := ReadSnapshot(bytes.NewReader(data), d, warm, store)
+		n, err := ReadSnapshot(bytes.NewReader(data), store)
 		if err == nil {
-			t.Errorf("%s: ReadSnapshot accepted corrupt input (%d entries)", name, n)
+			t.Errorf("%s: ReadSnapshot accepted corrupt input (%d records)", name, n)
 			continue
 		}
 		if !errors.Is(err, ErrSnapshot) {
 			t.Errorf("%s: error %v does not wrap ErrSnapshot", name, err)
 		}
-		if warm.Len() != 0 || store.Len() != 0 || store.NegativeLen() != 0 {
-			t.Errorf("%s: corrupt restore left %d cache entries, %d/%d classes",
-				name, warm.Len(), store.Len(), store.NegativeLen())
+		if store.Len() != 0 || store.NegativeLen() != 0 {
+			t.Errorf("%s: corrupt restore left %d/%d classes", name, store.Len(), store.NegativeLen())
 		}
 	}
 }
 
-// TestRestoreSkipsUnknownClasses: records whose class the loading DB
-// lacks are skipped, not errors — a snapshot from a full DB warm-starts
-// a partial one.
-func TestRestoreSkipsUnknownClasses(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 2000, 5)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A partial DB: half the entries.
-	entries := d.Entries()
-	partial, err := New(append([]Entry(nil), entries[:len(entries)/2]...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache()
-	n, err := warm.Restore(bytes.NewReader(buf.Bytes()), partial)
-	if err != nil {
-		t.Fatalf("Restore against partial DB: %v", err)
-	}
-	if n >= c.Len() {
-		t.Fatalf("partial DB restored %d of %d entries; expected some skipped", n, c.Len())
-	}
-	if warm.Len() != n {
-		t.Fatalf("cache holds %d entries, restore reported %d", warm.Len(), n)
-	}
-}
-
-// TestSaveLoadFile: SaveFile is atomic (no temp litter, previous file
-// intact on failure paths) and LoadFile round-trips; a missing file
-// reports fs.ErrNotExist.
+// TestSaveLoadFile: SaveSnapshotFile is atomic (no temp litter) and
+// LoadSnapshotFile round-trips; a missing file reports fs.ErrNotExist,
+// and a corrupt one ErrSnapshot until the next save replaces it.
 func TestSaveLoadFile(t *testing.T) {
-	d := mustLoad(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "npn.cache")
 
-	c := NewCache()
-	if _, err := c.LoadFile(path, d); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("LoadFile on a missing file: err = %v, want fs.ErrNotExist", err)
+	if _, err := LoadSnapshotFile(path, NewOnDemand(OnDemandOptions{})); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadSnapshotFile on a missing file: err = %v, want fs.ErrNotExist", err)
 	}
-	populate(t, d, c, 4000, 6)
-	if _, err := c.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	glob, _ := filepath.Glob(filepath.Join(dir, "*.tmp*"))
-	if len(glob) != 0 {
-		t.Fatalf("SaveFile left temp files behind: %v", glob)
-	}
-	warm := NewCache()
-	n, err := warm.LoadFile(path, d)
+	s := filledStore(t, 400, 6)
+	wrote, err := SaveSnapshotFile(path, s)
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("SaveSnapshotFile: %v", err)
 	}
-	if n != c.Len() {
-		t.Fatalf("LoadFile restored %d entries, want %d", n, c.Len())
+	if glob, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(glob) != 0 {
+		t.Fatalf("SaveSnapshotFile left temp files behind: %v", glob)
+	}
+	n, err := LoadSnapshotFile(path, NewOnDemand(OnDemandOptions{}))
+	if err != nil {
+		t.Fatalf("LoadSnapshotFile: %v", err)
+	}
+	if n != wrote || n != s.Len()+s.NegativeLen() {
+		t.Fatalf("LoadSnapshotFile restored %d records, wrote %d", n, wrote)
 	}
 
 	// Corrupting the file on disk degrades to an error, not a panic, and
-	// a subsequent SaveFile replaces it atomically.
+	// a subsequent save replaces it atomically.
 	if err := os.WriteFile(path, []byte("scribbled over"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cold := NewCache()
-	if _, err := cold.LoadFile(path, d); !errors.Is(err, ErrSnapshot) {
-		t.Fatalf("LoadFile on corrupt file: err = %v, want ErrSnapshot", err)
+	cold := NewOnDemand(OnDemandOptions{})
+	if _, err := LoadSnapshotFile(path, cold); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("LoadSnapshotFile on corrupt file: err = %v, want ErrSnapshot", err)
 	}
-	if _, err := c.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile over corrupt file: %v", err)
+	if _, err := SaveSnapshotFile(path, s); err != nil {
+		t.Fatalf("SaveSnapshotFile over corrupt file: %v", err)
 	}
-	if _, err := cold.LoadFile(path, d); err != nil {
-		t.Fatalf("LoadFile after re-save: %v", err)
-	}
-}
-
-// TestSetLimitBounds: a bounded cache never exceeds its per-shard budget
-// no matter how many distinct keys stream through.
-func TestSetLimitBounds(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	const limit = 1024
-	c.SetLimit(limit)
-	for v := 0; v < 1<<16; v++ {
-		d.LookupCached(tt.New(4, uint64(v)), c)
-	}
-	// Per-shard budget is ceil(limit/64); the global bound is its sum.
-	per := (limit + cacheShardCount - 1) / cacheShardCount
-	if got := c.Len(); got > per*cacheShardCount {
-		t.Fatalf("bounded cache holds %d entries, budget %d", got, per*cacheShardCount)
-	}
-	if got := c.Len(); got != per*cacheShardCount {
-		t.Errorf("full key sweep should fill the budget exactly: %d != %d", got, per*cacheShardCount)
+	if _, err := LoadSnapshotFile(path, cold); err != nil {
+		t.Fatalf("LoadSnapshotFile after re-save: %v", err)
 	}
 }
 
-// TestSetLimitShrinksExisting: lowering the bound on a populated cache
-// evicts down immediately.
-func TestSetLimitShrinksExisting(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	for v := 0; v < 1<<14; v++ {
-		d.LookupCached(tt.New(4, uint64(v)), c)
-	}
-	before := c.Len()
-	c.SetLimit(128)
-	if got, want := c.Len(), 2*cacheShardCount; got > want {
-		t.Fatalf("SetLimit(128) left %d entries (was %d), want <= %d", got, before, want)
-	}
-}
-
-// TestSecondChanceKeepsHotKeys: a key that is hit between insertions
-// survives the sweep that evicts a colder neighbor. Keys 0, 64, 128
-// share shard 0 (shard = key & 63); with a per-shard budget of 2 the
-// third insertion must evict exactly the un-hit key.
-func TestSecondChanceKeepsHotKeys(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	c.SetLimit(2 * cacheShardCount) // per-shard budget 2
-
-	hot := tt.New(4, 0)
-	cold := tt.New(4, 64)
-	newcomer := tt.New(4, 128)
-	d.LookupCached(hot, c)      // insert hot
-	d.LookupCached(cold, c)     // insert cold — shard 0 now full
-	d.LookupCached(hot, c)      // hit hot: reference bit set
-	d.LookupCached(newcomer, c) // must evict cold, not hot
-
-	if _, _, _, hit := d.LookupCached(hot, c); !hit {
-		t.Error("hot key was evicted despite its second chance")
-	}
-	if _, _, _, hit := d.LookupCached(newcomer, c); !hit {
-		t.Error("newly inserted key missing")
-	}
-	// cold was the victim, so looking it up again is a miss… which
-	// re-inserts it, evicting the current clock victim. Just check the
-	// miss itself.
-	if _, _, _, hit := d.LookupCached(cold, c); hit {
-		t.Error("cold key survived a full shard; expected it evicted")
-	}
-}
-
-// TestRestoreRespectsLimit: restoring a big snapshot into a bounded
-// cache stays within the bound.
-func TestRestoreRespectsLimit(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 20000, 7)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache()
-	warm.SetLimit(512)
-	if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d); err != nil {
-		t.Fatal(err)
-	}
-	per := (512 + cacheShardCount - 1) / cacheShardCount
-	if got := warm.Len(); got > per*cacheShardCount {
-		t.Fatalf("bounded restore holds %d entries, budget %d", got, per*cacheShardCount)
-	}
-}
-
-// TestSnapshotBoundedConcurrent: snapshotting while a bounded cache is
-// being hammered must neither race nor produce an invalid snapshot.
+// TestSnapshotBoundedConcurrent: snapshotting while a bounded store is
+// being written — learned classes evicting each other, negatives
+// arriving — must neither race nor produce an invalid snapshot.
 func TestSnapshotBoundedConcurrent(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	c.SetLimit(2048)
+	s := learnTwo(t)
+	entries, _ := s.snapshotState()
+	s.SetLimit(1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(8))
-		for i := 0; i < 50000; i++ {
-			d.LookupCached(tt.New(4, rng.Uint64()&0xFFFF), c)
+		for i := 0; i < 2000; i++ {
+			s.add(entries[i%len(entries)])
+			rep, _ := npn.Canonize5(tt.New(5, rng.Uint64()&0xFFFFFFFF))
+			s.addNegative(uint32(rep.Bits))
 		}
 	}()
 	for i := 0; i < 20; i++ {
 		var buf bytes.Buffer
-		if _, err := c.Snapshot(&buf); err != nil {
-			t.Fatalf("Snapshot during writes: %v", err)
+		if _, err := WriteSnapshot(&buf, s); err != nil {
+			t.Fatalf("WriteSnapshot during writes: %v", err)
 		}
-		warm := NewCache()
-		if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d); err != nil {
-			t.Fatalf("Restore of concurrent snapshot: %v", err)
+		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), NewOnDemand(OnDemandOptions{})); err != nil {
+			t.Fatalf("ReadSnapshot of concurrent snapshot: %v", err)
 		}
 	}
 	<-done
+	if s.Len() != 1 {
+		t.Fatalf("bounded store holds %d classes, want 1", s.Len())
+	}
 }
 
 // TestSaveFilePermissions: an existing snapshot keeps its permission
 // bits across re-saves, and a fresh snapshot is world-readable instead
 // of inheriting CreateTemp's private 0600.
 func TestSaveFilePermissions(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 200, 9)
+	s := NewOnDemand(OnDemandOptions{})
+	addNegatives(s, 50, 9)
 	dir := t.TempDir()
 
 	fresh := filepath.Join(dir, "fresh.cache")
-	if _, err := c.SaveFile(fresh); err != nil {
+	if _, err := SaveSnapshotFile(fresh, s); err != nil {
 		t.Fatal(err)
 	}
 	if fi, _ := os.Stat(fresh); fi.Mode().Perm() != 0o644 {
@@ -413,7 +358,7 @@ func TestSaveFilePermissions(t *testing.T) {
 	if err := os.Chmod(kept, 0o664); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SaveFile(kept); err != nil {
+	if _, err := SaveSnapshotFile(kept, s); err != nil {
 		t.Fatal(err)
 	}
 	if fi, _ := os.Stat(kept); fi.Mode().Perm() != 0o664 {

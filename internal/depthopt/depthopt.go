@@ -166,7 +166,7 @@ func onePass(m *mig.MIG, limit int) *mig.MIG {
 	for _, o := range m.Outputs() {
 		b.out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
 	}
-	res, _ := b.out.Cleanup()
+	res := b.out.Compact()
 	return res
 }
 

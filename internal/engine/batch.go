@@ -45,23 +45,14 @@ type Result struct {
 type BatchOptions struct {
 	// Workers bounds the worker pool; 0 or less means runtime.NumCPU().
 	Workers int
-	// SharedCache, when non-nil, is used by every job so workers reuse
-	// each other's NPN canonicalizations. The optimized graphs are
-	// identical either way; only the per-job hit/miss attribution becomes
-	// scheduling-dependent, which is why the default is a private cache
-	// per job (deterministic stats at any worker count).
-	SharedCache *db.Cache
-	// CacheFile warm-starts the batch from an on-disk cache snapshot:
-	// before any job runs, the snapshot at this path is restored into the
-	// batch's shared cache (creating one when SharedCache is nil) and the
-	// batch's on-demand 5-input store, and after the batch both are
-	// snapshotted back atomically in the width-tagged combined format. A
-	// missing file is a silent cold start; a corrupt or version-skewed
-	// snapshot degrades to a cold state with a logged warning. The
-	// optimized graphs of K = 4 scripts are bit-identical warm or cold —
-	// a snapshot only changes which lookups count as hits; for K = 5
-	// scripts a warm store additionally skips every already-learned
-	// synthesis (the results are identical, the ladders just never run).
+	// CacheFile warm-starts the batch's on-demand 5-input store from an
+	// on-disk snapshot: before any job runs, the snapshot at this path is
+	// restored into the store, and after the batch the store is
+	// snapshotted back atomically. A missing file is a silent cold start;
+	// a corrupt or version-skewed snapshot degrades to a cold store with a
+	// logged warning. The optimized graphs are bit-identical warm or cold:
+	// a warm store only skips every already-learned synthesis (the
+	// ladders just never run). K = 4 scripts leave the store empty.
 	CacheFile string
 	// Exact5 shares one on-demand 5-input exact-synthesis store across
 	// every job, so workers learn classes for each other. When nil,
@@ -82,9 +73,9 @@ type BatchOptions struct {
 
 // RunBatch optimizes every job with the pipeline on a bounded worker
 // pool. Results are deterministic: results[i] belongs to jobs[i], and
-// because each pipeline run is sequential and (with the default private
-// caches) self-contained, the per-job stats and graphs do not depend on
-// the worker count.
+// because each pipeline run is sequential and keeps its lookup memos
+// private, the per-job stats and graphs do not depend on the worker
+// count.
 //
 // Cancellation is cooperative at job and pass granularity: when ctx is
 // cancelled, unstarted jobs and unfinished pipelines report ctx.Err() in
@@ -103,28 +94,22 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 		workers = len(jobs)
 	}
 	results := make([]Result, len(jobs))
-	// Each worker runs a shallow copy of the pipeline so the cache policy
-	// (shared vs per-job) is applied without mutating the caller's p. A
-	// cache installed on the pipeline itself is honored; SharedCache
-	// overrides it. With neither, every job gets a private cache.
+	// Workers run a shallow copy of the pipeline so the batch's store is
+	// installed without mutating the caller's p.
 	run := *p
-	if opt.SharedCache != nil {
-		run.Cache = opt.SharedCache
-	}
 	if opt.Exact5 != nil {
 		run.Exact5 = opt.Exact5
 	}
 	if run.Exact5 == nil {
 		// Always share one store across the batch: jobs learn 5-input
 		// classes for each other, and the caller's Synth5 budget applies
-		// with or without a cache file (K = 4 scripts never touch it).
+		// with or without a snapshot file (K = 4 scripts never touch it).
 		run.Exact5 = db.NewOnDemand(opt.Synth5)
 	}
 	if opt.CacheFile != "" {
-		if run.Cache == nil {
-			run.Cache = db.NewCache()
+		if _, err := db.LoadSnapshotFile(opt.CacheFile, run.Exact5); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			log.Printf("engine: warm-start from %s failed, starting cold: %v", opt.CacheFile, err)
 		}
-		warmStart(run.Cache, run.Exact5, run.DB, opt.CacheFile)
 	}
 	var (
 		wg   sync.WaitGroup
@@ -180,11 +165,11 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 	}
 	wg.Wait()
 	if opt.CacheFile != "" {
-		// Even a cancelled batch may have warmed the cache; persisting it
-		// is always safe because snapshots only change hit/miss stats and
-		// skip already-learned synthesis.
-		if _, err := db.SaveSnapshotFile(opt.CacheFile, run.Cache, run.Exact5); err != nil {
-			log.Printf("engine: cache snapshot to %s failed: %v", opt.CacheFile, err)
+		// Even a cancelled batch may have learned classes; persisting them
+		// is always safe because a snapshot only skips already-learned
+		// synthesis.
+		if _, err := db.SaveSnapshotFile(opt.CacheFile, run.Exact5); err != nil {
+			log.Printf("engine: snapshot to %s failed: %v", opt.CacheFile, err)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -227,24 +212,6 @@ func runJob(ctx context.Context, p *Pipeline, j Job) (m *mig.MIG, st PipelineSta
 		return nil, PipelineStats{}, ferr
 	}
 	return p.RunContext(ctx, j.M)
-}
-
-// warmStart restores the snapshot at path into cache and store,
-// resolving the database the cache entries rebind through (the
-// pipeline's, or the embedded one — the same resolution RunContext
-// performs). Every failure short of a missing file is logged and
-// degrades to a cold start.
-func warmStart(cache *db.Cache, store *db.OnDemand, d *db.DB, path string) {
-	if d == nil {
-		var err error
-		if d, err = db.Load(); err != nil {
-			log.Printf("engine: cache warm-start from %s skipped, no database: %v", path, err)
-			return
-		}
-	}
-	if _, err := db.LoadSnapshotFile(path, d, cache, store); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		log.Printf("engine: cache warm-start from %s failed, starting cold: %v", path, err)
-	}
 }
 
 // SplitOutputs decomposes m into one job per primary output: each job's

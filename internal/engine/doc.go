@@ -17,19 +17,19 @@
 //   - RunBatch optimizes many MIGs concurrently on a bounded worker pool
 //     with deterministic result ordering and context cancellation.
 //
-// All pipelines share the sharded NPN cut-cache of internal/db: the
-// canonicalization + database lookup of every 4-feasible cut — the hot
-// path of functional hashing — is memoized across passes, iterations and
-// (optionally) across batch workers. K = 5 scripts additionally share an
-// on-demand exact-synthesis store (Pipeline.Exact5 / BatchOptions.Exact5,
-// budget via BatchOptions.Synth5): 5-input classes are learned once per
-// process and fed to every worker, with the run's context cancelling
-// in-flight ladders. BatchOptions.CacheFile extends both memoizations
-// across processes: the batch warm-starts cache and learned store from
-// one on-disk snapshot and saves them back atomically afterwards, with
-// corrupt snapshots degrading to a cold state (logged, never fatal).
-// Optimized graphs are bit-identical warm or cold — a warm learned store
-// just skips the ladders.
+// Each pipeline run owns one rewrite workspace, and with it the lookup
+// memos of its evaluation workers: the canonicalization + database
+// lookup of every 4-feasible cut — the hot path of functional hashing —
+// is memoized across the passes and iterations of the run. K = 5 scripts
+// additionally share an on-demand exact-synthesis store (Pipeline.Exact5
+// / BatchOptions.Exact5, budget via BatchOptions.Synth5): 5-input classes
+// are learned once per process and fed to every worker, with the run's
+// context cancelling in-flight ladders. BatchOptions.CacheFile extends
+// the learned store across processes: the batch warm-starts it from an
+// on-disk snapshot and saves it back atomically afterwards, with corrupt
+// snapshots degrading to a cold store (logged, never fatal). Optimized
+// graphs are bit-identical warm or cold — a warm store just skips the
+// ladders.
 //
 // Long-running consumers observe progress through callbacks:
 // Pipeline.Progress fires after every executed pass, and
@@ -39,10 +39,8 @@
 // Concurrency contract: a Pipeline is immutable during Run/RunContext and
 // may drive any number of concurrent runs; each run allocates its own
 // rewrite workspace, so runs share only the immutable database and the
-// (concurrency-safe) cut-cache. Within RunBatch, per-job stats and graphs
-// are deterministic — independent of the worker count — as long as the
-// default per-job private caches are used; installing a SharedCache keeps
-// the graphs identical but makes the per-job hit/miss split
-// scheduling-dependent. Pass values are stateless and shareable;
-// PassStats/PipelineStats are plain data.
+// (concurrency-safe) 5-input store. Within RunBatch, per-job stats and
+// graphs are deterministic — independent of the batch worker count.
+// Pass values are stateless and shareable; PassStats/PipelineStats are
+// plain data.
 package engine

@@ -22,7 +22,8 @@ type PassStats struct {
 	// Replacements counts database substitutions (rewrite passes) or
 	// accepted reassociations (depth passes).
 	Replacements int `json:"replacements"`
-	// NPN cut-cache traffic of this pass; zero for non-rewrite passes.
+	// 4-input lookups of this pass answered by, and added to, the run's
+	// lookup memos (rewrite.Stats); zero for non-rewrite passes.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// Choice-aware extraction of this pass (zero unless the pass ran
@@ -42,16 +43,16 @@ func (s PassStats) String() string {
 	return out
 }
 
-// passEnv is the shared context a pass executes in: the database and NPN
-// cache shared by the whole run, the on-demand 5-input store feeding the
-// K = 5 passes, the run's context (cancelling in-flight exact synthesis),
-// the rewrite workspace reused across all passes and iterations of one
-// pipeline run (each RunContext owns a private one, so concurrent batch
-// workers never share scratch), and the intra-graph worker budget.
+// passEnv is the shared context a pass executes in: the database of the
+// whole run, the on-demand 5-input store feeding the K = 5 passes, the
+// run's context (cancelling in-flight exact synthesis), the rewrite
+// workspace reused across all passes and iterations of one pipeline run
+// (each RunContext owns a private one, so concurrent batch workers never
+// share scratch, and its workers' lookup memos live as long as the run),
+// and the intra-graph worker budget.
 type passEnv struct {
 	ctx     context.Context
 	d       *db.DB
-	cache   *db.Cache
 	exact5  *db.OnDemand
 	ws      *rewrite.Workspace
 	workers int
@@ -68,9 +69,9 @@ type Pass struct {
 func (p Pass) Name() string { return p.name }
 
 // RewritePass wraps one functional-hashing configuration. The pass name
-// is rewrite.VariantName(opt) ("TF", "TF5", "TFx", …); opt.Cache,
-// opt.Exact5, opt.Ctx, opt.Workspace and opt.Workers are overridden by
-// the pipeline's environment.
+// is rewrite.VariantName(opt) ("TF", "TF5", "TFx", …); opt.Exact5,
+// opt.Ctx, opt.Workspace and opt.Workers are overridden by the
+// pipeline's environment.
 func RewritePass(opt rewrite.Options) Pass {
 	name := rewrite.VariantName(opt)
 	return Pass{
@@ -79,7 +80,6 @@ func RewritePass(opt rewrite.Options) Pass {
 			// Copy the captured options: concurrent batch workers share
 			// this Pass, so the closure state must stay read-only.
 			o := opt
-			o.Cache = env.cache
 			o.Exact5 = env.exact5
 			o.Ctx = env.ctx
 			o.Workspace = env.ws

@@ -16,7 +16,6 @@ import (
 	"mighash/internal/depthopt"
 	"mighash/internal/mig"
 	"mighash/internal/rewrite"
-	"mighash/internal/tt"
 )
 
 func loadDB(t testing.TB) *db.DB {
@@ -100,9 +99,9 @@ func TestPipelineConvergesToFixpoint(t *testing.T) {
 	_ = again
 }
 
-// TestPipelineCacheHitsOnSecondIteration is the acceptance criterion for
-// the NPN cut-cache: iteration 2 re-canonicalizes mostly functions that
-// iteration 1 already resolved, so its passes must report cache hits.
+// TestPipelineCacheHitsOnSecondIteration: the lookup memo lives for the
+// whole run, and iteration 2 re-canonicalizes mostly functions that
+// iteration 1 already resolved, so its passes must report memo hits.
 func TestPipelineCacheHitsOnSecondIteration(t *testing.T) {
 	d := loadDB(t)
 	p, _ := Preset("size")
@@ -125,9 +124,10 @@ func TestPipelineCacheHitsOnSecondIteration(t *testing.T) {
 	}
 }
 
-// TestCachedRewriteMatchesUncached: threading the cache through a rewrite
-// pass must not change its outcome — identical stats and a simulation-
-// verified identical function.
+// TestCachedRewriteMatchesUncached: a pass whose lookups a warm memo
+// answers (a workspace reused from an earlier pass over the same graph)
+// must match the same pass on a fresh workspace — identical stats and a
+// simulation-verified identical function.
 func TestCachedRewriteMatchesUncached(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(23))
@@ -137,14 +137,16 @@ func TestCachedRewriteMatchesUncached(t *testing.T) {
 		for _, opt := range []rewrite.Options{rewrite.TF, rewrite.BF, rewrite.TD} {
 			plain, pst := rewrite.Run(m, d, opt)
 			cached := opt
-			cached.Cache = db.NewCache()
+			cached.Workspace = rewrite.NewWorkspace()
+			rewrite.Run(m, d, cached)
 			got, cst := rewrite.Run(m, d, cached)
 			if got.Size() != plain.Size() || got.Depth() != plain.Depth() ||
 				cst.Replacements != pst.Replacements {
 				t.Fatalf("round %d %s: cached rewrite diverged: %v vs %v", round, pst.Variant, cst, pst)
 			}
-			if cst.CacheHits+cst.CacheMisses == 0 {
-				t.Fatalf("round %d %s: cache saw no traffic", round, pst.Variant)
+			if cst.CacheMisses != 0 || cst.CacheHits != pst.CacheHits+pst.CacheMisses {
+				t.Fatalf("round %d %s: warm memo answered %d of %d lookups", round, pst.Variant,
+					cst.CacheHits, cst.CacheHits+cst.CacheMisses)
 			}
 			sim := got.Simulate()
 			for i := range want {
@@ -164,9 +166,7 @@ func TestCachedRewriteCEC(t *testing.T) {
 	}
 	d := loadDB(t)
 	m := startMax(t)
-	opt := rewrite.BF
-	opt.Cache = db.NewCache()
-	res, st := rewrite.Run(m, d, opt)
+	res, st := rewrite.Run(m, d, rewrite.BF)
 	if st.CacheMisses == 0 {
 		t.Fatal("cache saw no traffic")
 	}
@@ -196,8 +196,8 @@ func normalize(results []Result) []Result {
 }
 
 // TestRunBatchDeterministicAcrossWorkers: the per-job stats (including
-// cache counters, thanks to per-job private caches) must be byte-identical
-// at any worker count, in job order.
+// the lookup memo counters, private to each job's run) must be
+// byte-identical at any worker count, in job order.
 func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(41))
@@ -236,33 +236,6 @@ func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharedCacheSameGraphs: sharing one cache across workers
-// changes only hit/miss attribution, never the optimized graphs.
-func TestRunBatchSharedCacheSameGraphs(t *testing.T) {
-	d := loadDB(t)
-	rng := rand.New(rand.NewSource(43))
-	var jobs []Job
-	for i := 0; i < 4; i++ {
-		jobs = append(jobs, Job{Name: "j", M: randomMIG(rng, 8, 150, 2)})
-	}
-	p, _ := Preset("size")
-	p.DB = d
-	plain, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 4, SharedCache: db.NewCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		a, b := plain[i], shared[i]
-		if a.M.Size() != b.M.Size() || a.M.Depth() != b.M.Depth() {
-			t.Errorf("job %d: shared cache changed the result: %v vs %v", i, a.Stats, b.Stats)
-		}
-	}
-}
-
 // TestRunBatchCancellation: a cancelled context aborts promptly, marking
 // unfinished jobs with the context error.
 func TestRunBatchCancellation(t *testing.T) {
@@ -281,11 +254,11 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBatchHammersSharedState is the -race stress test: many workers,
-// shared cache, and concurrent direct cache lookups.
+// TestRunBatchHammersSharedState is the -race stress test: more batch
+// workers than CPUs, each job's run fanning out its own intra-graph
+// workers, all over one shared database and 5-input store.
 func TestRunBatchHammersSharedState(t *testing.T) {
 	d := loadDB(t)
-	cache := db.NewCache()
 	rng := rand.New(rand.NewSource(47))
 	var jobs []Job
 	for i := 0; i < 12; i++ {
@@ -293,22 +266,10 @@ func TestRunBatchHammersSharedState(t *testing.T) {
 	}
 	p, _ := Preset("quick")
 	p.DB = d
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 5000; i++ {
-				f := randomTT4(r)
-				d.LookupCached(f, cache)
-			}
-		}(int64(w))
-	}
-	if _, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: runtime.NumCPU() + 2, SharedCache: cache}); err != nil {
+	p.Workers = 2
+	if _, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: runtime.NumCPU() + 2}); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 }
 
 // TestSplitOutputsPreservesCones: every extracted cone computes exactly
@@ -373,10 +334,6 @@ func TestEmptyPipeline(t *testing.T) {
 	if _, _, err := p.Run(mig.New(2)); err == nil {
 		t.Fatal("empty pipeline ran")
 	}
-}
-
-func randomTT4(r *rand.Rand) tt.TT {
-	return tt.New(4, r.Uint64()&0xFFFF)
 }
 
 // TestPipelineIntraGraphWorkersDeterministic pins the contract of
@@ -482,19 +439,10 @@ func renderBatch(t *testing.T, results []Result) []string {
 	return out
 }
 
-func sumCache(results []Result) (hits, misses int) {
-	for _, r := range results {
-		hits += r.Stats.CacheHits
-		misses += r.Stats.CacheMisses
-	}
-	return
-}
-
 // TestRunBatchCacheFileWarmStart is the persistence property test: a
 // warm-started batch produces bit-identical optimized MIGs to the cold
-// run — only the hit/miss split may shift — and the warm run's hit rate
-// is strictly higher. A corrupted snapshot degrades to a cold cache with
-// identical graphs rather than failing the batch.
+// run, and a corrupted snapshot degrades to a cold store with identical
+// graphs rather than failing the batch.
 func TestRunBatchCacheFileWarmStart(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(71))
@@ -514,7 +462,6 @@ func TestRunBatchCacheFileWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldGraphs := renderBatch(t, cold)
-	coldHits, coldMisses := sumCache(cold)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("batch did not leave a snapshot: %v", err)
 	}
@@ -524,17 +471,10 @@ func TestRunBatchCacheFileWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmGraphs := renderBatch(t, warm)
-	warmHits, warmMisses := sumCache(warm)
 	for i := range coldGraphs {
 		if warmGraphs[i] != coldGraphs[i] {
 			t.Errorf("job %s: warm-started graph differs from cold run", jobs[i].Name)
 		}
-	}
-	coldRate := float64(coldHits) / float64(coldHits+coldMisses)
-	warmRate := float64(warmHits) / float64(warmHits+warmMisses)
-	if warmRate <= coldRate {
-		t.Errorf("warm hit rate %.4f not above cold %.4f (hits %d→%d, misses %d→%d)",
-			warmRate, coldRate, coldHits, warmHits, coldMisses, warmMisses)
 	}
 
 	// Scribble over the snapshot: the next batch must start cold (logged,
@@ -552,7 +492,7 @@ func TestRunBatchCacheFileWarmStart(t *testing.T) {
 		}
 	}
 	// …and it must have replaced the corrupt file with a valid snapshot.
-	if _, err := db.NewCache().LoadFile(path, d); err != nil {
+	if _, err := db.LoadSnapshotFile(path, db.NewOnDemand(db.OnDemandOptions{})); err != nil {
 		t.Fatalf("snapshot after corrupt warm-start is not loadable: %v", err)
 	}
 }

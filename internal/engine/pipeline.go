@@ -35,25 +35,20 @@ type Pipeline struct {
 	MaxIterations int
 	// DB supplies the minimum-MIG database; nil loads the embedded one.
 	DB *db.DB
-	// Cache is the NPN cut-cache shared by every rewrite pass of a run.
-	// When nil each Run allocates a private cache, which keeps run
-	// statistics deterministic; install a shared db.NewCache() to also
-	// reuse canonicalizations across runs and batch workers.
-	Cache *db.Cache
 	// Exact5 is the on-demand 5-input exact-synthesis store feeding the
 	// K = 5 passes ("TF5" and friends, the resyn5/size5 presets). When
 	// nil each Run allocates a private store with default budgets; share
 	// one db.NewOnDemand across runs and batch workers so every class is
 	// synthesized once per process — and, with BatchOptions.CacheFile,
-	// once per cache file. K = 4 scripts never touch it.
+	// once per snapshot file. K = 4 scripts never touch it.
 	Exact5 *db.OnDemand
 	// Workers bounds intra-graph parallelism of the rewrite passes: best
 	// cuts of independent fanout-free regions are evaluated concurrently
 	// and committed serially, so the optimized graphs are bit-identical
-	// for every value (only the cache hit/miss split can shift when
-	// workers race on the shared cache). 0 or 1 evaluates serially. This
-	// is how a single large MIG saturates the machine without the logic
-	// duplication of SplitOutputs.
+	// for every value (only the lookup hit/miss split can shift, since
+	// each worker memoizes its own lookups). 0 or 1 evaluates serially.
+	// This is how a single large MIG saturates the machine without the
+	// logic duplication of SplitOutputs.
 	Workers int
 	// PassCheck, when non-nil, is invoked synchronously after every
 	// executed pass with the pass name, the 1-based iteration, and the
@@ -86,8 +81,8 @@ type PipelineStats struct {
 	SizeAfter   int    `json:"size_after"`
 	DepthBefore int    `json:"depth_before"`
 	DepthAfter  int    `json:"depth_after"`
-	CacheHits   int    `json:"cache_hits"`   // summed over rewrite passes
-	CacheMisses int    `json:"cache_misses"` // summed over rewrite passes
+	CacheHits   int    `json:"cache_hits"`   // 4-input memo hits, summed over rewrite passes
+	CacheMisses int    `json:"cache_misses"` // 4-input memo misses, summed over rewrite passes
 	// Choice-aware extraction totals, summed over the run's extraction
 	// passes (zero for greedy-only scripts).
 	Choices      int           `json:"choices,omitempty"`
@@ -96,7 +91,8 @@ type PipelineStats struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 }
 
-// CacheHitRate returns the fraction of NPN lookups served by the cache.
+// CacheHitRate returns the fraction of 4-input lookups the run's memos
+// answered.
 func (s PipelineStats) CacheHitRate() float64 {
 	if s.CacheHits+s.CacheMisses == 0 {
 		return 0
@@ -233,10 +229,6 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 			return nil, PipelineStats{}, err
 		}
 	}
-	cache := p.Cache
-	if cache == nil {
-		cache = db.NewCache()
-	}
 	exact5 := p.Exact5
 	if exact5 == nil {
 		exact5 = db.NewOnDemand(db.OnDemandOptions{})
@@ -256,7 +248,7 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 		pspan.End()
 	}()
 	env := passEnv{
-		ctx: ctx, d: d, cache: cache, exact5: exact5,
+		ctx: ctx, d: d, exact5: exact5,
 		ws: rewrite.NewWorkspace(), workers: p.Workers,
 	}
 

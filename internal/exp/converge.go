@@ -13,15 +13,15 @@ import (
 type ConvergeRow struct {
 	Pass        int
 	Size, Depth int
-	CacheHits   int // NPN cut-cache hits of the pass (cache shared across passes)
+	CacheHits   int // lookup memo hits of the pass (memo shared across passes)
 }
 
 // Converge implements the closing remark of the paper's Sec. V: "In all
 // experiments, we have performed the functional hashing algorithm only
 // once. Running it several times … will likely lead to further
 // improvements." It drives a single-pass engine pipeline to its fixpoint
-// and reports the trajectory; the NPN cut-cache is shared across the
-// iterations, so later passes run mostly on cache hits. Pass 0 is the
+// and reports the trajectory; the run's lookup memo is shared across the
+// iterations, so later passes run mostly on memo hits. Pass 0 is the
 // starting point.
 func Converge(d *db.DB, name string, opt rewrite.Options, maxPasses int) ([]ConvergeRow, error) {
 	spec, ok := benchByName(name)

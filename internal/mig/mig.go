@@ -322,39 +322,17 @@ func (m *MIG) FanoutCounts() []int {
 	return fo
 }
 
-// Cleanup returns a compacted copy containing only nodes reachable from the
-// outputs, with the same inputs and outputs (in order), plus the mapping
-// from old signals to new signals for reachable nodes.
-func (m *MIG) Cleanup() (*MIG, map[Lit]Lit) {
-	out, lmap, known := m.compact()
-	sigMap := make(map[Lit]Lit)
-	for id, ok := range known {
-		if ok {
-			sigMap[MakeLit(ID(id), false)] = lmap[id]
-			sigMap[MakeLit(ID(id), true)] = lmap[id].Not()
-		}
-	}
-	return out, sigMap
-}
-
-// Compact is Cleanup without the old-to-new signal map, for callers (the
-// rewriting passes) that only need the compacted graph.
+// Compact returns a compacted copy containing only nodes reachable from
+// the outputs, with the same inputs and outputs (in order). Reachability
+// is marked by one descending sweep and the copy by one ascending sweep —
+// fanins always have smaller IDs than their gate — so arbitrarily deep
+// graphs compact without recursion.
 func (m *MIG) Compact() *MIG {
-	out, _, _ := m.compact()
-	return out
-}
-
-// compact rebuilds the reachable part of m. Reachability is marked by one
-// descending sweep and the copy by one ascending sweep — fanins always
-// have smaller IDs than their gate — so arbitrarily deep graphs compact
-// without recursion.
-func (m *MIG) compact() (*MIG, []Lit, []bool) {
 	out := New(m.numPI)
 	lmap := make([]Lit, len(m.fanin)) // old ID -> new plain literal
-	known := make([]bool, len(m.fanin))
-	lmap[0], known[0] = Const0, true
+	lmap[0] = Const0
 	for i := 0; i < m.numPI; i++ {
-		lmap[i+1], known[i+1] = out.Input(i), true
+		lmap[i+1] = out.Input(i)
 	}
 	reach := make([]bool, len(m.fanin))
 	for _, o := range m.outputs {
@@ -377,12 +355,11 @@ func (m *MIG) compact() (*MIG, []Lit, []bool) {
 			lmap[f[0].ID()].NotIf(f[0].Comp()),
 			lmap[f[1].ID()].NotIf(f[1].Comp()),
 			lmap[f[2].ID()].NotIf(f[2].Comp()))
-		known[id] = true
 	}
 	for _, o := range m.outputs {
 		out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
 	}
-	return out, lmap, known
+	return out
 }
 
 // Clone returns a deep copy of the MIG.

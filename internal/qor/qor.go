@@ -39,7 +39,8 @@ type Record struct {
 	Runtime time.Duration `json:"runtime_ns"`
 
 	// Where the result came from: script rounds, per-pass wall clock,
-	// cut-cache traffic, 5-input synthesis and extraction counters.
+	// 4-input lookup memo traffic, 5-input synthesis and extraction
+	// counters.
 	Iterations  int        `json:"iterations,omitempty"`
 	Passes      []PassTime `json:"passes,omitempty"`
 	CacheHits   int        `json:"cache_hits,omitempty"`

@@ -28,14 +28,15 @@
 // The hot path — cut enumeration, cone analysis and NPN lookup — runs
 // allocation-free in the steady state: cuts carry their truth tables (so
 // no cone is ever re-simulated), cone traversals use epoch-stamped scratch
-// arrays, and all buffers live in a reusable Workspace. The top-down
+// arrays, each evaluation worker memoizes its 4-input lookups in a
+// private db.Cache, and all of it lives in a reusable Workspace. The top-down
 // variants additionally evaluate best cuts for independent fanout-free
 // regions in parallel (Options.Workers) and commit them serially in
 // topological order, so results are bit-identical for any worker count.
 //
 // Role in the functional-hashing flow: this package is the flow. It
 // consumes cuts from internal/cut, canonicalization + database lookups
-// through internal/db (optionally memoized by a db.Cache), and builds the
+// through internal/db, and builds the
 // optimized graph through internal/mig's structural hashing. At K = 5,
 // five-leaf cuts with genuine 5-variable support resolve through
 // db.OnDemand instead: the first contact with a class synthesizes its
@@ -48,10 +49,10 @@
 // Concurrency contract: Run never modifies the input graph, so concurrent
 // Run calls on the same input are safe as long as each has a private
 // Workspace (Options.Workspace; one is allocated when nil). The database
-// is immutable and a db.Cache is concurrency-safe, so both may be shared
-// freely across runs. Inside one run, Options.Workers > 1 parallelizes
-// the evaluation phase over fanout-free regions — each worker owns an
-// evalState slot of the Workspace and writes only the decision memos of
-// nodes it claimed — while the commit phase stays serial, which is what
-// makes the output deterministic.
+// is immutable, so it may be shared freely across runs. Inside one run,
+// Options.Workers > 1 parallelizes the evaluation phase over fanout-free
+// regions — each worker owns an evalState slot of the Workspace, with its
+// own lookup memo, and writes only the decision memos of nodes it
+// claimed — while the commit phase stays serial, which is what makes the
+// output deterministic.
 package rewrite

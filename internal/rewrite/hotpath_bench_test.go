@@ -21,6 +21,7 @@ import (
 	"mighash/internal/cut"
 	"mighash/internal/db"
 	"mighash/internal/mig"
+	"mighash/internal/tt"
 )
 
 // benchGraph returns the Max arithmetic benchmark (≈3.5k gates), a
@@ -43,10 +44,11 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.prepare(m.NumNodes(), 1)
+	d := loadDB(tb)
+	ws.prepare(d, m.NumNodes(), 1)
 	r := &rewriter{
 		m:         m,
-		d:         loadDB(tb),
+		d:         d,
 		opt:       opt,
 		ws:        ws,
 		cuts:      ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: opt.MaxCuts}),
@@ -113,15 +115,13 @@ func BenchmarkRewriteHotPathCutTT(b *testing.B) {
 // BenchmarkRewriteHotPathBestCutLoop drives the steady-state cut-
 // evaluation loop — cone analysis, admissibility, NPN lookup, candidate
 // selection — over every live gate. This is the loop the pass spends its
-// time in; with the workspace warm and the cache populated it must report
+// time in; with the workspace and its lookup memo warm it must report
 // ~0 allocs/op.
 func BenchmarkRewriteHotPathBestCutLoop(b *testing.B) {
 	m := benchGraph(b)
-	opt := TF
-	opt.Cache = db.NewCache()
-	r := newBenchRewriter(b, m, opt)
+	r := newBenchRewriter(b, m, TF)
 	st := &r.ws.eval[0]
-	// Warm the NPN cache so iterations measure the steady state.
+	// Warm the lookup memo so iterations measure the steady state.
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
 		r.bestCut(mig.ID(id), st)
 	}
@@ -165,10 +165,9 @@ func benchPass(b *testing.B, workers int) {
 	m := benchGraph(b)
 	d := loadDB(b)
 	opt := TF
-	opt.Cache = db.NewCache()
 	opt.Workspace = NewWorkspace()
 	opt.Workers = workers
-	Run(m, d, opt) // warm workspace and cache
+	Run(m, d, opt) // warm workspace and lookup memos
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,12 +183,10 @@ func BenchmarkRewriteHotPathPassParallel(b *testing.B) { benchPass(b, 8) }
 func TestBestCutLoopSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := randomMIG(rng, 10, 300, 3)
-	opt := TF
-	opt.Cache = db.NewCache()
-	r := newBenchRewriter(t, m, opt)
+	r := newBenchRewriter(t, m, TF)
 	st := &r.ws.eval[0]
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-		r.bestCut(mig.ID(id), st) // warm cache and scratch
+		r.bestCut(mig.ID(id), st) // warm lookup memo and scratch
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
@@ -236,7 +233,6 @@ func TestParallelRewriteDeterministic(t *testing.T) {
 			var refText string
 			for _, workers := range []int{1, 2, 8} {
 				opt := v.opt
-				opt.Cache = db.NewCache()
 				opt.Workspace = NewWorkspace()
 				opt.Workers = workers
 				got, st := Run(m, d, opt)
@@ -284,24 +280,65 @@ func TestParallelRewriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelRewriteSharedWorkspaceSequence reuses one workspace and one
-// cache across a mixed sequence of serial and parallel passes, mimicking
-// a pipeline run, and checks every result against a fresh-state run.
+// TestParallelRewriteSharedWorkspaceSequence reuses one workspace, with
+// its workers' lookup memos, across a mixed sequence of serial and
+// parallel passes, mimicking a pipeline run, and checks every result
+// against a fresh-state run.
 func TestParallelRewriteSharedWorkspaceSequence(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
 	ws := NewWorkspace()
-	cache := db.NewCache()
 	for round := 0; round < 6; round++ {
 		m := randomMIG(rng, 8+rng.Intn(6), 100+rng.Intn(200), 2)
 		opt := TF
 		opt.Workspace = ws
-		opt.Cache = cache
 		opt.Workers = 1 + rng.Intn(4)
 		got, _ := Run(m, d, opt)
 		want, _ := Run(m, d, TF)
 		if writeText(t, got) != writeText(t, want) {
-			t.Fatalf("round %d: workspace/cache reuse changed the result", round)
+			t.Fatalf("round %d: workspace reuse changed the result", round)
 		}
+	}
+}
+
+// TestWorkspaceReusedAcrossDBs: one workspace driven alternately over
+// the full database and a partial one missing half the classes gives
+// the graphs and lookup statistics of a fresh workspace per run — the
+// lookup memos start over whenever the database changes, so they never
+// answer for a database they were not filled through.
+func TestWorkspaceReusedAcrossDBs(t *testing.T) {
+	full := loadDB(t)
+	entries := full.Entries()
+	partial, err := db.New(append([]db.Entry(nil), entries[len(entries)/2:]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	rng := rand.New(rand.NewSource(48))
+	differ := 0
+	for round := 0; round < 20; round++ {
+		m := naive4(tt.New(4, uint64(rng.Intn(1<<16))))
+		var texts []string
+		for i, d := range []*db.DB{full, partial} {
+			opt := T
+			opt.Workspace = ws
+			got, st := Run(m, d, opt)
+			want, wst := Run(m, d, T)
+			text := writeText(t, got)
+			if text != writeText(t, want) {
+				t.Fatalf("round %d run %d: reused workspace changed the graph", round, i)
+			}
+			if st.CacheHits != wst.CacheHits || st.CacheMisses != wst.CacheMisses {
+				t.Fatalf("round %d run %d: reused workspace looked up %d/%d (hits/misses), fresh %d/%d",
+					round, i, st.CacheHits, st.CacheMisses, wst.CacheHits, wst.CacheMisses)
+			}
+			texts = append(texts, text)
+		}
+		if texts[0] != texts[1] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the partial database changed no graph; the test cannot see a stale memo")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mighash/internal/db"
 	"mighash/internal/fault"
 )
 
@@ -61,5 +62,49 @@ func TestWorkerPanicLeavesOthersSound(t *testing.T) {
 	if got.Size() != want.Size() || got.Depth() != want.Depth() {
 		t.Fatalf("retry after a worker panic diverged: size %d depth %d, want size %d depth %d",
 			got.Size(), got.Depth(), want.Size(), want.Depth())
+	}
+}
+
+// TestParallelPassUsesWorkerMemos: a Workers > 1 pass hands every worker
+// its own lookup memo, several workers look up through theirs, and the
+// pass statistics are the sum of the workers' traffic. A delay at every
+// region claim keeps one worker from draining the queue alone.
+func TestParallelPassUsesWorkerMemos(t *testing.T) {
+	defer fault.Reset()
+	d := loadDB(t)
+	m := randomMIG(rand.New(rand.NewSource(49)), 14, 500, 5)
+	ws := NewWorkspace()
+	opt := TF
+	opt.Workspace = ws
+	opt.Workers = 4
+	if err := fault.Enable("rewrite/ffr-region", "delay(1ms)"); err != nil {
+		t.Fatal(err)
+	}
+	got, st := Run(m, d, opt)
+	fault.Reset()
+	if want, _ := Run(m, d, TF); writeText(t, got) != writeText(t, want) {
+		t.Fatal("4 workers produced a different graph than 1")
+	}
+	if len(ws.eval) < 4 {
+		t.Fatalf("%d evaluation states for 4 workers", len(ws.eval))
+	}
+	memos := map[*db.Cache]bool{}
+	busy, hits, misses := 0, 0, 0
+	for _, es := range ws.eval {
+		memos[es.memo] = true
+		if es.misses > 0 {
+			busy++
+		}
+		hits += es.hits
+		misses += es.misses
+	}
+	if len(memos) != len(ws.eval) || memos[nil] {
+		t.Fatalf("%d distinct memos for %d workers", len(memos), len(ws.eval))
+	}
+	if busy < 2 {
+		t.Fatalf("only %d worker(s) filled a memo", busy)
+	}
+	if hits != st.CacheHits || misses != st.CacheMisses {
+		t.Fatalf("workers counted %d/%d, pass reports %d/%d", hits, misses, st.CacheHits, st.CacheMisses)
 	}
 }

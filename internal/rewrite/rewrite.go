@@ -37,13 +37,6 @@ type Options struct {
 	// ablation benchmarks.
 	AllowZeroGain bool
 
-	// Cache, when non-nil, memoizes the NPN canonicalization + database
-	// lookup of every cut function through a concurrency-safe sharded map.
-	// One cache can be shared across passes and across goroutines (the
-	// engine's pipelines and batch runner do both); hits and misses of
-	// this pass are reported in Stats.
-	Cache *db.Cache
-
 	// K selects the functional-hashing cut width: 4 (the paper's setting,
 	// default) or 5. At K = 5 enumeration additionally yields five-leaf
 	// cuts whose classes resolve through the on-demand exact-synthesis
@@ -67,15 +60,16 @@ type Options struct {
 	// best-cut evaluation is fanned out over independent fanout-free
 	// regions on a worker pool, then committed serially in topological
 	// order, so the optimized graph is bit-identical for every worker
-	// count. 0 or 1 evaluates serially; bottom-up passes ignore it. With
-	// a shared Cache the per-pass hit/miss split may vary between runs
-	// (two workers can race to canonicalize the same function); the graph
-	// never does.
+	// count. 0 or 1 evaluates serially; bottom-up passes ignore it. Each
+	// worker memoizes its own 4-input lookups, so above one worker the
+	// per-pass hit/miss split depends on which worker claims which region;
+	// the graph never does.
 	Workers int
 	// Workspace, when non-nil, supplies the reusable scratch state (cut
-	// arenas, cone-analysis stamps, decision memos) so repeated passes
-	// stop allocating. A nil Workspace makes Run allocate a private one.
-	// A Workspace must not be used by two concurrent Runs.
+	// arenas, cone-analysis stamps, decision memos, the workers' lookup
+	// memos) so repeated passes stop allocating and keep their memoized
+	// lookups. A nil Workspace makes Run allocate a private one. A
+	// Workspace must not be used by two concurrent Runs.
 	Workspace *Workspace
 
 	// MaxCuts caps the per-node cut sets (default 24).
@@ -215,7 +209,8 @@ type Stats struct {
 	SizeBefore, SizeAfter   int
 	DepthBefore, DepthAfter int
 	Replacements            int // cuts replaced by database MIGs
-	// NPN cut-cache traffic of this pass (zero when Options.Cache is nil).
+	// 4-input lookups of this pass answered by, and added to, the
+	// workers' memos (see Workspace).
 	CacheHits, CacheMisses int
 	// Choice-aware extraction (zero unless Options.Extract ran): the
 	// (cut, candidate) pairs recorded into the choice graph, and the
@@ -226,8 +221,8 @@ type Stats struct {
 	Elapsed      time.Duration
 }
 
-// CacheHitRate returns the fraction of this pass's database lookups
-// served by the NPN cut-cache, or 0 when no cache was attached.
+// CacheHitRate returns the fraction of this pass's 4-input lookups
+// answered by the workers' memos, or 0 when the pass made none.
 func (s Stats) CacheHitRate() float64 {
 	if s.CacheHits+s.CacheMisses == 0 {
 		return 0
@@ -248,14 +243,16 @@ func (s Stats) String() string {
 }
 
 // Workspace owns every reusable buffer of a rewriting pass: the cut-set
-// arena, the per-worker cone-analysis scratch, the best-cut decision memo
-// and the commit-phase buffers. Reusing one Workspace across passes (the
-// engine does this per pipeline run) makes the steady-state hot path
-// allocation-free. A Workspace must not be shared by concurrent Runs;
-// inside one Run, the parallel evaluation phase hands each worker its own
-// evalState.
+// arena, the per-worker cone-analysis scratch and lookup memo, the
+// best-cut decision memo and the commit-phase buffers. Reusing one
+// Workspace across passes (the engine does this per pipeline run) makes
+// the steady-state hot path allocation-free, and each worker's memo then
+// answers the 4-input lookups of every pass of the run. A Workspace must
+// not be shared by concurrent Runs; inside one Run, the parallel
+// evaluation phase hands each worker its own evalState.
 type Workspace struct {
 	cuts    cut.Workspace
+	d       *db.DB         // the database the eval memos were filled through
 	eval    []evalState    // one per worker; eval[0] serves the serial paths
 	best    []candidateCut // per-node best replacement (entry == nil: none)
 	decided []bool         // per-node: best[v] is valid
@@ -273,15 +270,19 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// evalState is the per-worker mutable state of best-cut evaluation.
+// evalState is the per-worker mutable state of best-cut evaluation: the
+// cone-analysis scratch and the worker's private memo of 4-input
+// lookups, with this pass's hits and misses in it.
 type evalState struct {
 	cone         *mig.Workspace
+	memo         *db.Cache
 	hits, misses int
 }
 
 // prepare sizes the per-node arrays for an n-node graph, resets the
-// decision memo and guarantees one evalState per worker.
-func (w *Workspace) prepare(n, workers int) {
+// decision memo and guarantees one evalState per worker. The lookup
+// memos hold entries of d, so they start over when d changes.
+func (w *Workspace) prepare(d *db.DB, n, workers int) {
 	if cap(w.best) < n {
 		w.best = make([]candidateCut, n)
 		w.decided = make([]bool, n)
@@ -294,8 +295,14 @@ func (w *Workspace) prepare(n, workers int) {
 	w.known = w.known[:n]
 	clear(w.best)
 	clear(w.decided)
+	if w.d != d {
+		w.d = d
+		for i := range w.eval {
+			w.eval[i].memo = db.NewCache()
+		}
+	}
 	for len(w.eval) < workers {
-		w.eval = append(w.eval, evalState{cone: mig.NewWorkspace()})
+		w.eval = append(w.eval, evalState{cone: mig.NewWorkspace(), memo: db.NewCache()})
 	}
 	for i := range w.eval {
 		w.eval[i].hits, w.eval[i].misses = 0, 0
@@ -322,7 +329,7 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	if opt.K == 5 && opt.Exact5 == nil {
 		opt.Exact5 = db.NewOnDemand(db.OnDemandOptions{})
 	}
-	ws.prepare(m.NumNodes(), workers)
+	ws.prepare(d, m.NumNodes(), workers)
 	r := &rewriter{
 		m:         m,
 		d:         d,
@@ -356,10 +363,6 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	if res == nil {
 		res = r.out.Compact()
 	}
-	for i := range ws.eval {
-		r.cacheHits += ws.eval[i].hits
-		r.cacheMisses += ws.eval[i].misses
-	}
 	// Every Stats metric is computed exactly once: the input depth falls
 	// out of the levels the depth heuristic already needed, the input size
 	// out of one workspace-backed sweep, and the result size/depth out of
@@ -377,12 +380,14 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		DepthBefore:  depthBefore,
 		DepthAfter:   res.Depth(),
 		Replacements: r.replacements,
-		CacheHits:    r.cacheHits,
-		CacheMisses:  r.cacheMisses,
 		Choices:      r.choiceCount,
 		ExtractSaved: r.extractSaved,
-		Elapsed:      time.Since(start),
 	}
+	for i := range ws.eval {
+		st.CacheHits += ws.eval[i].hits
+		st.CacheMisses += ws.eval[i].misses
+	}
+	st.Elapsed = time.Since(start)
 	return res, st
 }
 
@@ -404,8 +409,6 @@ type rewriter struct {
 
 	levels       []int // level of every node in out (maintained on creation)
 	replacements int
-
-	cacheHits, cacheMisses int // this pass's NPN cut-cache traffic
 
 	roots []mig.ID // scheduling partition of the last evaluateAll
 	// Choice mode (Options.Extract): the chosen compacted result — Run
@@ -470,7 +473,7 @@ type transformRef struct {
 // instantiation data, or nil when the class is absent. The function comes
 // straight off the cut — maintained incrementally during enumeration — so
 // no cone is re-simulated. Cuts of at most four leaves resolve through
-// the precomputed 4-input database (memoized by Options.Cache); at
+// the precomputed 4-input database, memoized in the worker's st.memo; at
 // K = 5, five-leaf cuts resolve through — and are learned by — the
 // on-demand exact-synthesis store.
 func (r *rewriter) lookup(c *cut.Cut, st *evalState) (*db.Entry, transformRef) {
@@ -478,13 +481,11 @@ func (r *rewriter) lookup(c *cut.Cut, st *evalState) (*db.Entry, transformRef) {
 		return r.lookup5(c)
 	}
 	f := tt.TT{Bits: uint64(uint16(c.TT)), N: 4}
-	e, t, ok, hit := r.d.LookupCached(f, r.opt.Cache)
-	if r.opt.Cache != nil {
-		if hit {
-			st.hits++
-		} else {
-			st.misses++
-		}
+	e, t, ok, hit := r.d.LookupCached(f, st.memo)
+	if hit {
+		st.hits++
+	} else {
+		st.misses++
 	}
 	if !ok {
 		return nil, transformRef{}

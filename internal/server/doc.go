@@ -38,24 +38,21 @@
 //
 // One Server handles any number of concurrent requests. The minimum-MIG
 // database is immutable and shared; per-request state (parsed graphs,
-// pipelines, rewrite workspaces) is private to the request's goroutines;
-// the only shared mutable state is the atomic metrics counters, the slot
-// semaphore, the always-shared on-demand 5-input store (classes are
-// learned once per server lifetime; request deadlines cancel in-flight
-// ladders, and the migserve_exact5_* metrics report its traffic), and —
-// only with Config.SharedCache — the sharded NPN cut-cache, each of
-// which is concurrency-safe on its own.
+// pipelines, rewrite workspaces with their lookup memos) is private to
+// the request's goroutines; the only shared mutable state is the atomic
+// metrics counters, the slot semaphore and the always-shared on-demand
+// 5-input store (classes are learned once per server lifetime; request
+// deadlines cancel in-flight ladders, and the migserve_exact5_* metrics
+// report its traffic), each of which is concurrency-safe on its own.
 //
-// # Cache persistence
+// # Snapshot persistence
 //
-// Config.CacheFile makes the shared cache — and the learned 5-input
-// store — survive restarts: New restores the combined snapshot (corrupt
-// or missing files degrade to a cold state with a logged error), a
-// background writer re-snapshots it every
+// Config.CacheFile makes the learned 5-input store survive restarts: New
+// restores the snapshot (corrupt or missing files degrade to a cold
+// store with a logged error), a background writer re-snapshots it every
 // Config.CacheSnapshotInterval, and Close — which cmd/migserve calls
 // after the SIGTERM HTTP drain — writes the final snapshot. Snapshots
-// never change optimization results, only the hit/miss statistics;
-// Config.CacheLimit bounds the cache with second-chance eviction. The
-// persistence state is exported as migserve_npn_cache_entries,
+// never change optimization results; a warm store only skips
+// already-learned synthesis. The persistence state is exported as
 // migserve_cache_restored_entries and migserve_cache_snapshot_* metrics.
 package server

@@ -36,8 +36,8 @@ type metrics struct {
 	shed atomic.Int64
 
 	passes    atomic.Int64 // executed pipeline passes
-	cacheHits atomic.Int64 // NPN cut-cache hits, summed over jobs
-	cacheMiss atomic.Int64 // NPN cut-cache misses, summed over jobs
+	cacheHits atomic.Int64 // 4-input lookup memo hits, summed over jobs
+	cacheMiss atomic.Int64 // 4-input lookup memo misses, summed over jobs
 	// Choice-aware extraction traffic, summed over completed jobs.
 	extractChoices atomic.Int64 // recorded (cut, candidate) choices
 	extractSaved   atomic.Int64 // gates saved over the greedy twins
@@ -49,8 +49,8 @@ type metrics struct {
 	handlerPanics atomic.Int64
 	jobPanics     atomic.Int64
 
-	// Cache-persistence counters (all zero without Config.CacheFile).
-	cacheRestored   atomic.Int64 // entries warm-started from the snapshot
+	// Snapshot counters (exported only with Config.CacheFile).
+	cacheRestored   atomic.Int64 // records warm-started from the snapshot
 	snapshots       atomic.Int64 // snapshot attempts (periodic + Close)
 	snapshotErrors  atomic.Int64 // snapshot attempts that failed
 	snapshotEntries atomic.Int64 // entries in the last successful snapshot
@@ -116,10 +116,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"migserve_max_concurrent_jobs":     int64(s.cfg.MaxConcurrent),
 		"migserve_max_body_bytes":          s.cfg.MaxBodyBytes,
 	}
-	if s.cache != nil {
-		// The live entry count is a gauge sampled at scrape time; the
-		// snapshot counters only move when cache persistence is on.
-		vals["migserve_npn_cache_entries"] = int64(s.cache.Len())
+	if s.cfg.CacheFile != "" {
 		vals["migserve_cache_restored_entries"] = m.cacheRestored.Load()
 		vals["migserve_cache_snapshot_total"] = m.snapshots.Load()
 		vals["migserve_cache_snapshot_errors_total"] = m.snapshotErrors.Load()

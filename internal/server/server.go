@@ -52,34 +52,25 @@ type Config struct {
 	// MaxWorkersPerRequest caps the intra-graph rewrite parallelism a
 	// request may ask for. Default 4; negative disables the cap.
 	MaxWorkersPerRequest int
-	// SharedCache, when true, shares one NPN cut-cache across every
-	// request of the server's lifetime, so repeated cut functions from
-	// different clients reuse each other's canonicalizations. Per-request
-	// hit/miss statistics then depend on the server's history.
-	SharedCache bool
-	// CacheFile persists the shared cache across process restarts: New
-	// restores the snapshot at this path (a missing file is a cold start;
-	// a corrupt or version-skewed one degrades to a cold cache with a
-	// logged error), a background goroutine re-snapshots it every
-	// CacheSnapshotInterval, and Close writes a final snapshot during
-	// graceful shutdown. Optimized netlists are bit-identical warm or
-	// cold — only hit/miss statistics shift. Setting CacheFile implies
-	// SharedCache.
+	// CacheFile persists the learned 5-input store across process
+	// restarts: New restores the snapshot at this path (a missing file is
+	// a cold start; a corrupt or version-skewed one degrades to a cold
+	// store with a logged error), a background goroutine re-snapshots it
+	// every CacheSnapshotInterval, and Close writes a final snapshot
+	// during graceful shutdown. Optimized netlists are bit-identical warm
+	// or cold — a warm store only skips already-learned synthesis.
 	CacheFile string
 	// CacheSnapshotInterval is the period of the background snapshot
 	// writer when CacheFile is set. Default 5m; negative disables the
 	// periodic writer (Close still snapshots).
 	CacheSnapshotInterval time.Duration
-	// CacheLimit bounds the shared cache's entry count with per-shard
-	// second-chance eviction (db.Cache.SetLimit). 0 means unbounded.
-	CacheLimit int
 	// Synth5 tunes the per-class budget of the on-demand 5-input
 	// exact-synthesis store behind the K = 5 scripts (resyn5, size5,
 	// TF5, …). The store is shared by every request of the server's
 	// lifetime — classes are learned once — and, with CacheFile, persists
-	// across restarts alongside the NPN cut-cache. In-flight ladders are
-	// cancelled when their request's deadline fires. The zero value uses
-	// the db package defaults (conflict-bounded, deterministic).
+	// across restarts. In-flight ladders are cancelled when their
+	// request's deadline fires. The zero value uses the db package
+	// defaults (conflict-bounded, deterministic).
 	Synth5 db.OnDemandOptions
 	// DB supplies the minimum-MIG database; nil loads the embedded one.
 	DB *db.DB
@@ -119,11 +110,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxWorkersPerRequest == 0 {
 		c.MaxWorkersPerRequest = 4
 	}
-	if c.CacheFile != "" {
-		c.SharedCache = true
-		if c.CacheSnapshotInterval == 0 {
-			c.CacheSnapshotInterval = 5 * time.Minute
-		}
+	if c.CacheFile != "" && c.CacheSnapshotInterval == 0 {
+		c.CacheSnapshotInterval = 5 * time.Minute
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -134,19 +122,18 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP optimization service. Create one with New and mount
 // it with Handler (it is itself an http.Handler). A Server is safe for
 // concurrent use; all mutable state is the metrics counters, the
-// concurrency semaphore, and (optionally) the shared NPN cache — each
+// concurrency semaphore, and the shared 5-input store — each
 // concurrency-safe on its own.
 type Server struct {
 	cfg     Config
 	db      *db.DB
-	cache   *db.Cache    // non-nil only with Config.SharedCache
 	exact5  *db.OnDemand // always non-nil; shared by every request
 	slots   chan struct{}
 	mux     *http.ServeMux
 	log     *slog.Logger
 	metrics metrics
 
-	// Cache-persistence lifecycle (nil/zero without Config.CacheFile).
+	// Snapshot lifecycle (nil/zero without Config.CacheFile).
 	snapStop  chan struct{}
 	snapDone  chan struct{}
 	closeOnce sync.Once
@@ -170,22 +157,16 @@ func New(cfg Config) (*Server, error) {
 		slots:  make(chan struct{}, cfg.MaxConcurrent),
 		log:    cfg.Logger,
 	}
-	if cfg.SharedCache {
-		s.cache = db.NewCache()
-		if cfg.CacheLimit > 0 {
-			s.cache.SetLimit(cfg.CacheLimit)
-		}
-	}
 	if cfg.CacheFile != "" {
-		n, err := db.LoadSnapshotFile(cfg.CacheFile, d, s.cache, s.exact5)
+		n, err := db.LoadSnapshotFile(cfg.CacheFile, s.exact5)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
-			s.log.Info("no cache snapshot, starting cold", "path", cfg.CacheFile)
+			s.log.Info("no snapshot, starting cold", "path", cfg.CacheFile)
 		case err != nil:
-			s.log.Warn("restoring cache snapshot failed, starting cold", "path", cfg.CacheFile, "err", err)
+			s.log.Warn("restoring snapshot failed, starting cold", "path", cfg.CacheFile, "err", err)
 		default:
 			s.metrics.cacheRestored.Store(int64(n))
-			s.log.Info("warm-started cache from snapshot", "path", cfg.CacheFile, "entries", n)
+			s.log.Info("warm-started 5-input store from snapshot", "path", cfg.CacheFile, "entries", n)
 		}
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -209,9 +190,10 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s }
 
-// snapshotLoop re-snapshots the shared cache every CacheSnapshotInterval
-// until Close. Snapshot failures are logged and counted, never fatal —
-// the cache keeps serving and the next tick retries.
+// snapshotLoop re-snapshots the 5-input store every
+// CacheSnapshotInterval until Close. Snapshot failures are logged and
+// counted, never fatal — the store keeps serving and the next tick
+// retries.
 func (s *Server) snapshotLoop() {
 	defer close(s.snapDone)
 	if s.cfg.CacheSnapshotInterval < 0 {
@@ -231,18 +213,18 @@ func (s *Server) snapshotLoop() {
 }
 
 // snapshotCache writes one snapshot and updates the snapshot metrics.
-// Failures degrade, never escalate: the in-memory cache keeps serving
+// Failures degrade, never escalate: the in-memory store keeps serving
 // and the next tick retries. The consecutive-errors gauge is the alert
 // signal separating a transient blip (spikes to 1, back to 0) from a
 // persistently broken snapshot path (climbs monotonically — a restarted
 // process would start cold).
 func (s *Server) snapshotCache() error {
 	s.metrics.snapshots.Add(1)
-	n, err := db.SaveSnapshotFile(s.cfg.CacheFile, s.cache, s.exact5)
+	n, err := db.SaveSnapshotFile(s.cfg.CacheFile, s.exact5)
 	if err != nil {
 		s.metrics.snapshotErrors.Add(1)
 		s.metrics.snapshotConsecErr.Add(1)
-		s.log.Error("cache snapshot failed", "path", s.cfg.CacheFile, "err", err,
+		s.log.Error("snapshot failed", "path", s.cfg.CacheFile, "err", err,
 			"consecutive_errors", s.metrics.snapshotConsecErr.Load())
 		return err
 	}
@@ -253,11 +235,12 @@ func (s *Server) snapshotCache() error {
 
 // Close releases the server's background resources: it stops the
 // periodic snapshot writer and, when Config.CacheFile is set, drains the
-// cache to disk one final time so a restarted process warm-starts from
-// the full working set (cmd/migserve calls this after the HTTP drain on
+// 5-input store to disk one final time so a restarted process
+// warm-starts from every learned class (cmd/migserve calls this after
+// the HTTP drain on
 // SIGTERM). It returns the final snapshot's error, if any — a full disk
 // at shutdown must not masquerade as a clean close. Close is idempotent
-// and safe to call on a server without cache persistence, where it is a
+// and safe to call on a server without a snapshot file, where it is a
 // no-op.
 func (s *Server) Close() error {
 	var err error
@@ -652,7 +635,6 @@ func (s *Server) pipeline(spec ScriptSpec) (*engine.Pipeline, error) {
 		return nil, err
 	}
 	p.DB = s.db
-	p.Cache = s.cache   // nil without SharedCache: private per-run caches
 	p.Exact5 = s.exact5 // always shared: 5-input classes are learned once
 	if spec.MaxIterations > 0 {
 		// Only override when the client asked: presets like "quick" bake

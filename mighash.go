@@ -14,15 +14,15 @@
 //
 // Beyond the paper, the internal/engine subsystem scales the single-shot
 // passes into a batch-optimization engine: composable pass pipelines with
-// run-to-convergence semantics, a concurrency-safe sharded NPN cut-cache,
-// and a bounded worker pool for optimizing many graphs at once.
+// run-to-convergence semantics and a bounded worker pool for optimizing
+// many graphs at once.
 // Functional hashing extends past the paper's 4-input database to
 // on-demand 5-input hashing: Canonize5 semi-canonicalizes 5-variable
 // functions without the exhaustive transform sweep, and an Exact5Store
 // learns each class's minimum MIG by budgeted exact synthesis on first
 // contact (the K = 5 passes such as TF5 and the resyn5/size5 scripts),
-// persisting the learned database across processes alongside the
-// cut-cache. Choice-aware extraction (the x passes such as TFx and the
+// persisting the learned database across processes. Choice-aware
+// extraction (the x passes such as TFx and the
 // resyn-x / depth-x scripts) replaces the greedy per-cut commit with a two-phase
 // scheme: record every profitable (cut, candidate) pair into a choice
 // graph, then extract a globally best cover under a size or depth
@@ -244,16 +244,6 @@ type RewriteWorkspace = rewrite.Workspace
 // sized on first use.
 var NewRewriteWorkspace = rewrite.NewWorkspace
 
-// NPNCache is the concurrency-safe, sharded memo of NPN canonicalization
-// + database lookups shared by pipelines and batch workers. It persists
-// across processes — Snapshot/Restore and SaveFile/LoadFile serialize it
-// as a checksummed binary snapshot that rebinds entries through the
-// loading database — and SetLimit bounds it with second-chance eviction.
-type NPNCache = db.Cache
-
-// NewNPNCache returns an empty cut-cache ready for concurrent use.
-var NewNPNCache = db.NewCache
-
 // On-demand 5-input functional hashing: at five inputs the ~616k NPN
 // classes rule out a precomputed artifact, so the database is learned —
 // each class's minimum MIG is synthesized on first contact under a
@@ -271,14 +261,13 @@ type (
 // pipelines and batch workers so every class is synthesized once.
 var NewExact5Store = db.NewOnDemand
 
-// SaveOptimizationState atomically snapshots the NPN cut-cache and the
-// learned 5-input store (either may be nil) into one width-tagged,
-// checksummed file that warm-starts future processes.
+// SaveOptimizationState atomically snapshots the learned 5-input store
+// into a checksummed file that warm-starts future processes.
 var SaveOptimizationState = db.SaveSnapshotFile
 
-// LoadOptimizationState restores a combined snapshot, rebinding cache
-// entries through the given database and re-verifying learned classes;
-// corrupt files degrade to a cold state.
+// LoadOptimizationState restores a snapshot into a 5-input store,
+// re-verifying every learned class; corrupt files degrade to a cold
+// store.
 var LoadOptimizationState = db.LoadSnapshotFile
 
 // Optimization engine: composable pass pipelines and concurrent batch
@@ -296,8 +285,8 @@ type (
 	BatchJob = engine.Job
 	// BatchResult is the outcome of one BatchJob.
 	BatchResult = engine.Result
-	// BatchOptions tunes RunBatch (workers, shared cache, on-disk cache
-	// snapshot for cross-process warm-starts).
+	// BatchOptions tunes RunBatch (workers, the shared 5-input store and
+	// its on-disk snapshot for cross-process warm-starts).
 	BatchOptions = engine.BatchOptions
 )
 
@@ -333,7 +322,7 @@ var SplitOutputs = engine.SplitOutputs
 // their own http.Server. See the README's "The HTTP API" section.
 type (
 	// ServerConfig tunes an optimization server (limits, deadlines,
-	// concurrency, cache sharing and on-disk cache persistence). The
+	// concurrency and on-disk persistence of the 5-input store). The
 	// zero value uses sane defaults.
 	ServerConfig = server.Config
 	// OptimizeServer is the HTTP optimization service; it implements

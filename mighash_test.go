@@ -66,7 +66,7 @@ func TestPublicPipeline(t *testing.T) {
 }
 
 // TestPublicEngine drives the batch-optimization engine through the
-// façade: a preset script over batch jobs, with cache stats surfaced.
+// façade: a preset script over batch jobs, with lookup memo stats surfaced.
 func TestPublicEngine(t *testing.T) {
 	build := func() *mighash.MIG {
 		b := mighash.NewCircuitBuilder(16)
@@ -103,7 +103,7 @@ func TestPublicEngine(t *testing.T) {
 			t.Fatalf("%s: engine broke the circuit: %v", r.Name, ce)
 		}
 		if r.Stats.CacheHits+r.Stats.CacheMisses == 0 {
-			t.Errorf("%s: no NPN-cache traffic recorded", r.Name)
+			t.Errorf("%s: no lookup memo traffic recorded", r.Name)
 		}
 	}
 	if names := mighash.PipelineScripts(); len(names) < 6 {
