@@ -3,6 +3,7 @@ package cut
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mighash/internal/mig"
 )
@@ -125,14 +126,6 @@ func (c *Cut) subsetOf(d *Cut) bool {
 
 // merge3 computes the union of three sorted cuts, failing when it exceeds k.
 func merge3(a, b, c *Cut, k int) (Cut, bool) {
-	// Signature prefilter: every leaf contributes one bit, so more set
-	// bits than k means more than k distinct leaves. Collisions only
-	// under-count, so this never rejects a feasible merge, but it throws
-	// out the bulk of the |sa|·|sb|·|sc| infeasible combinations for the
-	// cost of one popcount instead of a three-way merge walk.
-	if bits.OnesCount64(a.Sig|b.Sig|c.Sig) > k {
-		return Cut{}, false
-	}
 	var out Cut
 	i, j, l := uint8(0), uint8(0), uint8(0)
 	for i < a.N || j < b.N || l < c.N {
@@ -195,15 +188,21 @@ func Enumerate(m *mig.MIG, opts Options) [][]Cut {
 	return new(Workspace).Enumerate(m, opts)
 }
 
-// Workspace owns the cut-set arena of repeated enumerations: all cut
-// slices of one Enumerate call are carved out of a single backing array
-// that is reused by the next call, so steady-state enumeration allocates
-// nothing. The sets returned by Workspace.Enumerate alias the arena and
-// are invalidated by the next Enumerate on the same Workspace; a
-// Workspace must not be used by two goroutines at once.
+// Workspace owns the cut-set arena of repeated enumerations: the cut sets
+// of one Enumerate call lie back to back, in node order, in one backing
+// array that is reused by the next call, so steady-state enumeration
+// allocates nothing. The sets returned by Workspace.Enumerate alias the
+// arena and are invalidated by the next Enumerate on the same Workspace;
+// a Workspace must not be used by two goroutines at once.
 type Workspace struct {
 	sets  [][]Cut
 	arena []Cut
+	off   []int // node i's set is arena[off[i]:off[i+1]]
+	buf   []Cut // the set being merged
+	// Work counts of the last Enumerate, which tests pin exactly: the
+	// child-cut triples whose signature union was tested, and the merge
+	// walks of the triples that passed.
+	tested, walks int
 }
 
 // NewWorkspace returns an empty enumeration workspace.
@@ -213,99 +212,141 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (w *Workspace) Enumerate(m *mig.MIG, opts Options) [][]Cut {
 	opts = opts.withDefaults()
 	n := m.NumNodes()
-	per := opts.MaxCuts + 1 // every node's set is capped at MaxCuts plus the trivial cut
-	if need := n * per; cap(w.arena) < need {
-		w.arena = make([]Cut, need)
-	}
 	if cap(w.sets) < n {
 		w.sets = make([][]Cut, n)
+		w.off = make([]int, n+1)
 	}
-	sets := w.sets[:n]
-	// slot hands out node i's fixed-capacity arena window; appends beyond
-	// per would reallocate out of the arena, which the cap in
-	// addIrredundant rules out.
-	slot := func(i int) []Cut { return w.arena[i*per : i*per : (i+1)*per] }
+	// Every set is capped at MaxCuts plus the trivial cut, which bounds
+	// the merge buffer; the arena holds only the cuts actually kept.
+	if cap(w.buf) < opts.MaxCuts+1 {
+		w.buf = make([]Cut, 0, opts.MaxCuts+1)
+	}
+	if cap(w.arena) < n {
+		w.arena = make([]Cut, 0, n) // every node keeps at least one cut
+	}
+	sets, off, arena := w.sets[:n], w.off[:n+1], w.arena[:0]
+	w.tested, w.walks = 0, 0
 	withTT := opts.K <= 5
-	sets[0] = append(slot(0), Cut{}) // constant node: the empty cut
+	arena = append(arena, Cut{}) // constant node: the empty cut
+	off[0], off[1] = 0, len(arena)
 	for i := 0; i < m.NumPIs(); i++ {
-		id := int(m.Input(i).ID())
-		c := Cut{Sig: sigOf(mig.ID(id)), N: 1, L: [MaxK]mig.ID{mig.ID(id)}}
+		id := m.Input(i).ID()
+		c := Cut{Sig: sigOf(id), N: 1, L: [MaxK]mig.ID{id}}
 		if withTT {
 			c.TT = ttVar0
 		}
-		sets[id] = append(slot(id), c)
+		arena = append(arena, c)
+		off[id+1] = len(arena)
 	}
+	set := func(l mig.Lit) []Cut { return arena[off[l.ID()]:off[l.ID()+1]] }
 	for id := m.NumPIs() + 1; id < n; id++ {
 		gid := mig.ID(id)
 		f := m.Fanin(gid)
-		sets[id] = mergeSets(slot(id), sets[f[0].ID()], sets[f[1].ID()], sets[f[2].ID()], f, gid, opts, withTT)
+		merged := w.mergeSets(w.buf[:0], set(f[0]), set(f[1]), set(f[2]), f, gid, opts, withTT)
+		if len(arena)+len(merged) > cap(arena) {
+			// Double, so the copying stays linear in the final size.
+			arena = slices.Grow(arena, max(len(arena), len(merged)))
+		}
+		arena = append(arena, merged...)
+		off[id+1] = len(arena)
 	}
+	for id := range sets {
+		sets[id] = arena[off[id]:off[id+1]:off[id+1]]
+	}
+	w.arena = arena
 	return sets
 }
 
 // mergeSets computes the saturating union of the three child cut sets with
 // irredundancy filtering and capping, then appends the trivial cut. out
-// must be empty with capacity for MaxCuts+1 cuts.
-func mergeSets(out []Cut, sa, sb, sc []Cut, f [3]mig.Lit, root mig.ID, opts Options, withTT bool) []Cut {
+// must be empty with capacity for MaxCuts+1 cuts, so that no append
+// reallocates it.
+//
+// Two signature prefilters skip infeasible merges before any leaf is
+// compared: every leaf sets one signature bit, so a union with more than
+// K set bits has more than K distinct leaves. Collisions only under-count,
+// so neither test rejects a feasible merge. The pair test runs once per
+// (a, b) and skips the whole c loop; the triple test guards the merge
+// walk. The truth table is computed only for a cut the set keeps.
+func (w *Workspace) mergeSets(out []Cut, sa, sb, sc []Cut, f [3]mig.Lit, root mig.ID, opts Options, withTT bool) []Cut {
+	k := opts.K
+	tested, walks := 0, 0
 	for ia := range sa {
+		a := &sa[ia]
 		for ib := range sb {
+			b := &sb[ib]
+			ab := a.Sig | b.Sig
+			if bits.OnesCount64(ab) > k {
+				continue
+			}
+			tested += len(sc)
 			for ic := range sc {
-				c, ok := merge3(&sa[ia], &sb[ib], &sc[ic], opts.K)
+				c := &sc[ic]
+				if bits.OnesCount64(ab|c.Sig) > k {
+					continue
+				}
+				walks++
+				u, ok := merge3(a, b, c, k)
 				if !ok {
 					continue
 				}
-				if withTT {
-					c.TT = mergedTT(f, &sa[ia], &sb[ib], &sc[ic], &c)
+				if kept := addIrredundant(&out, &u, opts.MaxCuts); kept != nil && withTT {
+					kept.TT = mergedTT(f, a, b, c, kept)
 				}
-				out = addIrredundant(out, c, opts.MaxCuts)
 			}
 		}
 	}
+	w.tested += tested
+	w.walks += walks
 	triv := Cut{Sig: sigOf(root), N: 1, L: [MaxK]mig.ID{root}}
 	if withTT {
 		triv.TT = ttVar0
 	}
-	out = append(out, triv)
-	return out
+	return append(out, triv)
 }
 
-// addIrredundant inserts c into set unless it is dominated by an existing
+// addIrredundant inserts c into *set unless it is dominated by an existing
 // cut; cuts dominated by c are removed. The set is capped at maxCuts,
-// preferring cuts with fewer leaves.
-func addIrredundant(set []Cut, c Cut, maxCuts int) []Cut {
-	for i := range set {
-		if set[i].subsetOf(&c) {
-			return set // dominated: an existing cut is contained in c
+// preferring cuts with fewer leaves. It returns the slot c now occupies,
+// or nil when c was not kept.
+func addIrredundant(set *[]Cut, c *Cut, maxCuts int) *Cut {
+	s := *set
+	for i := range s {
+		if s[i].subsetOf(c) {
+			return nil // dominated: an existing cut is contained in c
 		}
 	}
 	n := 0
-	for i := range set {
-		if !c.subsetOf(&set[i]) {
-			set[n] = set[i]
+	for i := range s {
+		if !c.subsetOf(&s[i]) {
+			s[n] = s[i]
 			n++
 		}
 	}
-	set = set[:n]
-	if len(set) < maxCuts {
+	s = s[:n]
+	if len(s) < maxCuts {
 		// Keep the set ordered by leaf count so capping drops wide cuts
 		// last-in first.
-		pos := len(set)
-		for pos > 0 && set[pos-1].N > c.N {
+		pos := len(s)
+		for pos > 0 && s[pos-1].N > c.N {
 			pos--
 		}
-		set = append(set, Cut{})
-		copy(set[pos+1:], set[pos:])
-		set[pos] = c
-		return set
+		s = append(s, Cut{})
+		copy(s[pos+1:], s[pos:])
+		s[pos] = *c
+		*set = s
+		return &s[pos]
 	}
+	*set = s
 	// Set full: replace the widest cut if c is narrower.
-	if set[len(set)-1].N > c.N {
-		pos := len(set) - 1
-		for pos > 0 && set[pos-1].N > c.N {
+	if s[len(s)-1].N > c.N {
+		pos := len(s) - 1
+		for pos > 0 && s[pos-1].N > c.N {
 			pos--
 		}
-		copy(set[pos+1:], set[pos:len(set)-1])
-		set[pos] = c
+		copy(s[pos+1:], s[pos:len(s)-1])
+		s[pos] = *c
+		return &s[pos]
 	}
-	return set
+	return nil
 }

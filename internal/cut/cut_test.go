@@ -1,9 +1,13 @@
 package cut
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"mighash/internal/circuits"
+	"mighash/internal/depthopt"
 	"mighash/internal/mig"
 )
 
@@ -202,17 +206,224 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestWorkspaceEnumerateSteadyStateAllocs pins the arena property: after
-// the first enumeration, re-enumerating the same graph allocates nothing.
+// the first enumeration, re-enumerating the same graph allocates nothing,
+// at both rewriting widths.
 func TestWorkspaceEnumerateSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	m := randomMIG(rng, 6, 300)
+	for _, k := range []int{4, 5} {
+		w := NewWorkspace()
+		w.Enumerate(m, Options{K: k, MaxCuts: 24}) // warm the arena
+		allocs := testing.AllocsPerRun(10, func() {
+			w.Enumerate(m, Options{K: k, MaxCuts: 24})
+		})
+		if allocs > 0 {
+			t.Errorf("K=%d: steady-state enumeration allocates %.1f objects/run, want 0", k, allocs)
+		}
+	}
+}
+
+// mergeSetsRef is the unpruned triple loop the signature prefilters
+// replaced: every (a, b, c) triple is merged, and every merged cut gets
+// its truth table before addIrredundantRef decides whether to keep it.
+func mergeSetsRef(out []Cut, sa, sb, sc []Cut, f [3]mig.Lit, root mig.ID, opts Options, withTT bool) []Cut {
+	for ia := range sa {
+		for ib := range sb {
+			for ic := range sc {
+				c, ok := merge3(&sa[ia], &sb[ib], &sc[ic], opts.K)
+				if !ok {
+					continue
+				}
+				if withTT {
+					c.TT = mergedTT(f, &sa[ia], &sb[ib], &sc[ic], &c)
+				}
+				out = addIrredundantRef(out, c, opts.MaxCuts)
+			}
+		}
+	}
+	triv := Cut{Sig: sigOf(root), N: 1, L: [MaxK]mig.ID{root}}
+	if withTT {
+		triv.TT = ttVar0
+	}
+	return append(out, triv)
+}
+
+// addIrredundantRef is the by-value insertion mergeSetsRef uses.
+func addIrredundantRef(set []Cut, c Cut, maxCuts int) []Cut {
+	for i := range set {
+		if set[i].subsetOf(&c) {
+			return set
+		}
+	}
+	n := 0
+	for i := range set {
+		if !c.subsetOf(&set[i]) {
+			set[n] = set[i]
+			n++
+		}
+	}
+	set = set[:n]
+	if len(set) < maxCuts {
+		pos := len(set)
+		for pos > 0 && set[pos-1].N > c.N {
+			pos--
+		}
+		set = append(set, Cut{})
+		copy(set[pos+1:], set[pos:])
+		set[pos] = c
+		return set
+	}
+	if set[len(set)-1].N > c.N {
+		pos := len(set) - 1
+		for pos > 0 && set[pos-1].N > c.N {
+			pos--
+		}
+		copy(set[pos+1:], set[pos:len(set)-1])
+		set[pos] = c
+	}
+	return set
+}
+
+// enumerateRef is Enumerate driven by the reference loop.
+func enumerateRef(m *mig.MIG, opts Options) [][]Cut {
+	opts = opts.withDefaults()
+	withTT := opts.K <= 5
+	sets := make([][]Cut, m.NumNodes())
+	sets[0] = []Cut{{}}
+	for i := 0; i < m.NumPIs(); i++ {
+		id := m.Input(i).ID()
+		c := Cut{Sig: sigOf(id), N: 1, L: [MaxK]mig.ID{id}}
+		if withTT {
+			c.TT = ttVar0
+		}
+		sets[id] = []Cut{c}
+	}
+	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
+		f := m.Fanin(mig.ID(id))
+		out := make([]Cut, 0, opts.MaxCuts+1)
+		sets[id] = mergeSetsRef(out, sets[f[0].ID()], sets[f[1].ID()], sets[f[2].ID()], f, mig.ID(id), opts, withTT)
+	}
+	return sets
+}
+
+// prepared returns the named suite circuit prepared as exp.PrepareStart
+// prepares the rewriter's starting points (exp imports this package, so
+// the preparation is spelled out here).
+func prepared(tb testing.TB, name string) *mig.MIG {
+	tb.Helper()
+	spec, ok := circuits.ByName(name)
+	if !ok {
+		tb.Fatalf("benchmark %s missing", name)
+	}
+	m, _ := depthopt.Optimize(spec.Build(), depthopt.Options{SizeFactor: 8, MaxPasses: 40})
+	return m
+}
+
+// TestEnumerateMatchesReference: the pruned enumeration returns exactly
+// the cut values (Sig, TT, N, L, in order) of the unpruned reference loop,
+// over every width and under caps that make insertion order matter, on
+// random graphs and on prepared suite circuits. One workspace serves
+// every case, so arena reuse is covered too.
+func TestEnumerateMatchesReference(t *testing.T) {
+	type tc struct {
+		name string
+		m    *mig.MIG
+		opts Options
+	}
+	var cases []tc
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 4; trial++ {
+		m := randomMIG(rng, 6+trial, 150)
+		for k := 2; k <= MaxK; k++ {
+			for _, maxCuts := range []int{5, 12, 24} {
+				cases = append(cases, tc{fmt.Sprintf("random%d", trial), m, Options{K: k, MaxCuts: maxCuts}})
+			}
+		}
+	}
+	for _, name := range []string{"Adder", "Max"} {
+		m := prepared(t, name)
+		for _, k := range []int{4, 5} {
+			cases = append(cases, tc{name, m, Options{K: k, MaxCuts: 24}})
+		}
+	}
 	w := NewWorkspace()
-	w.Enumerate(m, Options{K: 4, MaxCuts: 24}) // warm the arena
-	allocs := testing.AllocsPerRun(10, func() {
-		w.Enumerate(m, Options{K: 4, MaxCuts: 24})
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state enumeration allocates %.1f objects/run, want 0", allocs)
+	for _, c := range cases {
+		got := w.Enumerate(c.m, c.opts)
+		want := enumerateRef(c.m, c.opts)
+		for id := range want {
+			if len(got[id]) != len(want[id]) {
+				t.Fatalf("%s K=%d MaxCuts=%d node %d: %d cuts, want %d",
+					c.name, c.opts.K, c.opts.MaxCuts, id, len(got[id]), len(want[id]))
+			}
+			for i := range want[id] {
+				if got[id][i] != want[id][i] {
+					t.Fatalf("%s K=%d MaxCuts=%d node %d cut %d: %+v, want %+v",
+						c.name, c.opts.K, c.opts.MaxCuts, id, i, got[id][i], want[id][i])
+				}
+			}
+		}
+	}
+}
+
+// bruteCounts recounts the work of one enumeration over its final cut
+// sets: tested is the triples whose pair's signature union has at most k
+// bits (the pair prefilter skips the rest), walks the triples whose own
+// union has at most k bits.
+func bruteCounts(m *mig.MIG, sets [][]Cut, k int) (tested, walks int) {
+	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
+		f := m.Fanin(mig.ID(id))
+		for _, a := range sets[f[0].ID()] {
+			for _, b := range sets[f[1].ID()] {
+				for _, c := range sets[f[2].ID()] {
+					if bits.OnesCount64(a.Sig|b.Sig) <= k {
+						tested++
+					}
+					if bits.OnesCount64(a.Sig|b.Sig|c.Sig) <= k {
+						walks++
+					}
+				}
+			}
+		}
+	}
+	return tested, walks
+}
+
+// TestMergeWalkCounts pins the pruning without timing: the triples an
+// enumeration tests and merges equal a brute-force count over its cut
+// sets, and on the prepared Adder and Max they are exact constants. A
+// build without the pair prefilter tests every triple; one without the
+// triple prefilter walks every tested triple.
+func TestMergeWalkCounts(t *testing.T) {
+	w := NewWorkspace()
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 4; trial++ {
+		m := randomMIG(rng, 6+trial, 150)
+		for k := 2; k <= MaxK; k++ {
+			for _, maxCuts := range []int{5, 12, 24} {
+				sets := w.Enumerate(m, Options{K: k, MaxCuts: maxCuts})
+				tested, walks := bruteCounts(m, sets, k)
+				if w.tested != tested || w.walks != walks {
+					t.Fatalf("trial %d K=%d MaxCuts=%d: tested/walked %d/%d triples, brute force %d/%d",
+						trial, k, maxCuts, w.tested, w.walks, tested, walks)
+				}
+			}
+		}
+	}
+	for _, p := range []struct {
+		name          string
+		k             int
+		tested, walks int
+	}{
+		{"Adder", 4, 3835, 2203},
+		{"Adder", 5, 16567, 5893},
+		{"Max", 4, 54549, 13548},
+		{"Max", 5, 188358, 34965},
+	} {
+		w.Enumerate(prepared(t, p.name), Options{K: p.k, MaxCuts: 24})
+		if w.tested != p.tested || w.walks != p.walks {
+			t.Errorf("%s K=%d: tested/walked %d/%d triples, want %d/%d",
+				p.name, p.k, w.tested, w.walks, p.tested, p.walks)
+		}
 	}
 }
 
@@ -356,11 +567,20 @@ func (t ttLite) notIf(c bool, n int) ttLite {
 
 func (t ttLite) Eval(j uint) bool { return uint64(t)>>j&1 == 1 }
 
+// BenchmarkEnumerate measures steady-state enumeration at the rewriter's
+// defaults (MaxCuts 24) on the prepared Max, at both rewriting widths.
 func BenchmarkEnumerate(b *testing.B) {
-	rng := rand.New(rand.NewSource(99))
-	m := randomMIG(rng, 6, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Enumerate(m, Options{K: 4, MaxCuts: 12})
+	m := prepared(b, "Max")
+	for _, k := range []int{4, 5} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			w := NewWorkspace()
+			opts := Options{K: k, MaxCuts: 24}
+			w.Enumerate(m, opts) // warm the arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Enumerate(m, opts)
+			}
+		})
 	}
 }

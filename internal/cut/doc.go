@@ -20,13 +20,16 @@
 // path. When enumerating with K ≤ 5 each cut carries its truth table
 // (expanded to 5 variables; the low 16 bits are the 4-variable table for
 // narrow cuts), computed incrementally from the child cuts' tables during
-// the merge — so the rewriter (internal/rewrite) hands Cut.TT straight to
-// NPN canonicalization and no cone is ever re-simulated. A popcount signature
-// prefilter rejects infeasible merges before any set operation runs.
+// the merge, and only for cuts a set keeps — so the rewriter
+// (internal/rewrite) hands Cut.TT straight to NPN canonicalization and no
+// cone is ever re-simulated. Popcount signature prefilters reject
+// infeasible merges before any leaf is compared: once per pair of child
+// cuts, and once per triple.
 //
 // Concurrency contract: enumeration only reads the MIG, so any number of
 // enumerations over one frozen graph may run in parallel — provided each
 // has its own Workspace. A Workspace owns the arena the per-node cut sets
 // live in (steady-state enumeration is allocation-free) and is strictly
-// single-goroutine; the FFR-parallel rewriter keeps one per worker.
+// single-goroutine. The rewriter's workspace holds one, and a pass
+// enumerates serially before any evaluation worker starts.
 package cut

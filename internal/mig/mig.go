@@ -1,6 +1,9 @@
 package mig
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ID identifies a node. ID 0 is the constant-0 terminal.
 type ID uint32
@@ -69,6 +72,17 @@ func New(numPIs int) *MIG {
 		strash: newStrashTable(),
 	}
 	return m
+}
+
+// reserve makes room for gates more gates: the node storage and the
+// structural-hashing table are grown once, so building that many gates
+// neither reallocates nor rehashes. It changes no node, literal or
+// lookup result. Only Compact, which knows its exact gate count, calls
+// it: presizing a pass output from its input's gate count kept the
+// full-size table live for the whole pass and raised peak memory.
+func (m *MIG) reserve(gates int) {
+	m.fanin = slices.Grow(m.fanin, gates)
+	m.strash.reserve(m.strash.n + gates)
 }
 
 // NumPIs returns the number of primary inputs.
@@ -328,23 +342,26 @@ func (m *MIG) FanoutCounts() []int {
 // fanins always have smaller IDs than their gate — so arbitrarily deep
 // graphs compact without recursion.
 func (m *MIG) Compact() *MIG {
-	out := New(m.numPI)
-	lmap := make([]Lit, len(m.fanin)) // old ID -> new plain literal
-	lmap[0] = Const0
-	for i := 0; i < m.numPI; i++ {
-		lmap[i+1] = out.Input(i)
-	}
 	reach := make([]bool, len(m.fanin))
 	for _, o := range m.outputs {
 		reach[o.ID()] = true
 	}
+	live := 0
 	for id := len(m.fanin) - 1; id > m.numPI; id-- {
 		if !reach[id] {
 			continue
 		}
+		live++
 		for _, ch := range m.fanin[id] {
 			reach[ch.ID()] = true
 		}
+	}
+	out := New(m.numPI)
+	out.reserve(live)
+	lmap := make([]Lit, len(m.fanin)) // old ID -> new plain literal
+	lmap[0] = Const0
+	for i := 0; i < m.numPI; i++ {
+		lmap[i+1] = out.Input(i)
 	}
 	for id := m.numPI + 1; id < len(m.fanin); id++ {
 		if !reach[id] {

@@ -1,6 +1,7 @@
 package mig
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -514,5 +515,54 @@ func TestStrashTableGrowAndClone(t *testing.T) {
 	c.Maj(sigs[len(sigs)-1], sigs[0], sigs[1].Not())
 	if m.NumGates() != n {
 		t.Fatal("clone shares gate storage with the original")
+	}
+}
+
+// TestReserve: a graph built after reserve never reallocates its nodes or
+// rehashes its strash, and is node for node the graph an unreserved build
+// makes; reserving again mid-build keeps every existing gate findable.
+func TestReserve(t *testing.T) {
+	src := randomStrashedMIG(rand.New(rand.NewSource(61)), 8, 3000)
+	build := func(reserve bool) *MIG {
+		m := New(src.NumPIs())
+		if reserve {
+			m.reserve(src.NumGates())
+		}
+		nodes, slots := cap(m.fanin), len(m.strash.ids)
+		sig := make([]Lit, src.NumNodes())
+		for i := 0; i < src.NumPIs(); i++ {
+			sig[src.Input(i).ID()] = m.Input(i)
+		}
+		at := func(l Lit) Lit { return sig[l.ID()].NotIf(l.Comp()) }
+		for id := src.NumPIs() + 1; id < src.NumNodes(); id++ {
+			f := src.Fanin(ID(id))
+			sig[id] = m.Maj(at(f[0]), at(f[1]), at(f[2]))
+		}
+		for _, o := range src.Outputs() {
+			m.AddOutput(at(o))
+		}
+		if reserve && (cap(m.fanin) != nodes || len(m.strash.ids) != slots) {
+			t.Errorf("reserved build grew: %d→%d node slots, %d→%d strash slots",
+				nodes, cap(m.fanin), slots, len(m.strash.ids))
+		}
+		return m
+	}
+	plain, reserved := build(false), build(true)
+	var a, b bytes.Buffer
+	if err := plain.WriteText(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := reserved.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatal("reserve changed the graph")
+	}
+	reserved.reserve(10 * reserved.NumGates())
+	for id := reserved.NumPIs() + 1; id < reserved.NumNodes(); id++ {
+		f := reserved.Fanin(ID(id))
+		if got := reserved.Maj(f[0], f[1], f[2]); got.ID() != ID(id) {
+			t.Fatalf("after a second reserve, gate %d rebuilt as %v", id, got)
+		}
 	}
 }

@@ -64,10 +64,24 @@ func (t *strashTable) place(k strashKey, id ID) {
 	t.keys[i], t.ids[i] = k, id
 }
 
-func (t *strashTable) grow() {
+func (t *strashTable) grow() { t.resize(2 * len(t.ids)) }
+
+// reserve sizes the table so that it holds n entries without growing.
+func (t *strashTable) reserve(n int) {
+	size := len(t.ids)
+	for 3*n > 2*size {
+		size *= 2
+	}
+	if size > len(t.ids) {
+		t.resize(size)
+	}
+}
+
+// resize rehashes the table into size slots (a power of two).
+func (t *strashTable) resize(size int) {
 	old := *t
-	t.keys = make([]strashKey, 2*len(old.keys))
-	t.ids = make([]ID, 2*len(old.ids))
+	t.keys = make([]strashKey, size)
+	t.ids = make([]ID, size)
 	for i, id := range old.ids {
 		if id != 0 {
 			t.place(old.keys[i], id)

@@ -134,6 +134,71 @@ type sigKey struct {
 	lits  [5]uint32 // per entry input: leaf ID and phase (2*id | flip)
 }
 
+// hash mixes the key's leaf literals with what tells the entries over
+// them apart (class, size and depth) — not with the entry's address, so
+// the table needs no unsafe pointer arithmetic.
+func (k *sigKey) hash() uint64 {
+	e := k.entry
+	h := e.Rep.Bits<<16 ^ uint64(len(e.Gates))<<8 ^ uint64(e.Depth)
+	for _, l := range k.lits {
+		h = (h ^ uint64(l)) * 0x9E3779B185EBCA87
+	}
+	return h ^ h>>32
+}
+
+// sigTable interns sigKeys to duplicate-cone IDs 1, 2, … in insertion
+// order: an open-addressing table the workspace owns, emptied but kept
+// between passes, so building a choice graph allocates nothing once the
+// table has grown to the largest pass.
+type sigTable struct {
+	keys []sigKey
+	ids  []int32 // 0 marks an empty slot
+	n    int
+}
+
+// reset empties the table, keeping its storage.
+func (t *sigTable) reset() {
+	if t.ids == nil {
+		t.keys, t.ids = make([]sigKey, 256), make([]int32, 256)
+	}
+	clear(t.ids)
+	t.n = 0
+}
+
+// intern returns k's ID, assigning the next one when k is new. The table
+// grows at 2/3 load.
+func (t *sigTable) intern(k *sigKey) int32 {
+	mask := uint64(len(t.ids) - 1)
+	i := k.hash() & mask
+	for ; t.ids[i] != 0; i = (i + 1) & mask {
+		if t.keys[i] == *k {
+			return t.ids[i]
+		}
+	}
+	t.n++
+	t.keys[i], t.ids[i] = *k, int32(t.n)
+	if 3*t.n > 2*len(t.ids) {
+		t.grow()
+	}
+	return int32(t.n)
+}
+
+func (t *sigTable) grow() {
+	keys, ids := t.keys, t.ids
+	t.keys, t.ids = make([]sigKey, 2*len(keys)), make([]int32, 2*len(ids))
+	mask := uint64(len(t.ids) - 1)
+	for j, id := range ids {
+		if id == 0 {
+			continue
+		}
+		i := keys[j].hash() & mask
+		for t.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.ids[i] = keys[j], id
+	}
+}
+
 // buildGraph assembles the recorded menus into a flat choice graph:
 // per live gate, choice 0 keeps the node's original fanins (cost 1) and
 // choices 1.. are its menu in recording order, so Selection.Pick maps
@@ -141,7 +206,7 @@ type sigKey struct {
 // and reused across passes.
 func (r *rewriter) buildGraph() *extract.Graph {
 	m, ws := r.m, r.ws
-	sigIDs := make(map[sigKey]int32)
+	ws.sigs.reset()
 	n := m.NumNodes()
 	g := &ws.graph
 	g.NumNodes = n
@@ -178,7 +243,7 @@ func (r *rewriter) buildGraph() *extract.Graph {
 				c := extract.Choice{
 					Cost: rec.cost,
 					Ref:  int32(ri),
-					Sig:  sigOf(sigIDs, rec),
+					Sig:  ws.sigs.sigOf(rec),
 					N:    uint8(len(rec.leaves)),
 					DepD: depDelays(rec.entry, rec.tr, len(rec.leaves)),
 				}
@@ -201,7 +266,7 @@ func (r *rewriter) buildGraph() *extract.Graph {
 // flip bit j; positions past the cut read constant zero). IDs are
 // assigned in recording order by the serial graph build, so they are
 // independent of the worker count.
-func sigOf(ids map[sigKey]int32, rec *choiceRec) int32 {
+func (t *sigTable) sigOf(rec *choiceRec) int32 {
 	key := sigKey{entry: rec.entry}
 	for j := 0; j < rec.entry.K(); j++ {
 		var leaf mig.ID
@@ -210,12 +275,7 @@ func sigOf(ids map[sigKey]int32, rec *choiceRec) int32 {
 		}
 		key.lits[j] = uint32(leaf)<<1 | uint32(rec.tr.flip>>uint(j)&1)
 	}
-	id, ok := ids[key]
-	if !ok {
-		id = int32(len(ids) + 1)
-		ids[key] = id
-	}
-	return id
+	return t.intern(&key)
 }
 
 // runChoice is the choice-aware counterpart of a greedy top-down pass:

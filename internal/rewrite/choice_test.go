@@ -133,3 +133,35 @@ func TestChoiceVariantNames(t *testing.T) {
 		}
 	}
 }
+
+// TestSigTableMatchesMapInterning: the workspace's signature table
+// assigns the IDs a fresh map assigning len+1 on first sight would, in
+// the same order, through several growths and across resets — so the
+// choice graph's duplicate-cone IDs do not depend on the table.
+func TestSigTableMatchesMapInterning(t *testing.T) {
+	entries := loadDB(t).Entries()
+	rng := rand.New(rand.NewSource(67))
+	var tab sigTable
+	for pass := 0; pass < 3; pass++ {
+		tab.reset()
+		ref := map[sigKey]int32{}
+		for i := 0; i < 2000; i++ {
+			// Few leaves and entries, so keys repeat often.
+			k := sigKey{entry: &entries[rng.Intn(8)]}
+			for j := range k.lits {
+				k.lits[j] = uint32(rng.Intn(3))
+			}
+			want, ok := ref[k]
+			if !ok {
+				want = int32(len(ref) + 1)
+				ref[k] = want
+			}
+			if got := tab.intern(&k); got != want {
+				t.Fatalf("pass %d key %d: ID %d, want %d", pass, i, got, want)
+			}
+		}
+		if len(ref) < 256 {
+			t.Fatalf("pass %d: only %d distinct keys; the table never grew", pass, len(ref))
+		}
+	}
+}

@@ -265,6 +265,7 @@ type Workspace struct {
 	sel     []candidate    // bottom-up combination scratch
 	choices [][]choiceRec  // choice mode: per-node recorded menus
 	graph   extract.Graph  // choice mode: arena reused across passes
+	sigs    sigTable       // choice mode: duplicate-cone IDs of the graph build
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first use.

@@ -103,18 +103,40 @@ func TestVariantsPreserveFunctionCEC(t *testing.T) {
 // function: a disjunction of minterm conjunctions.
 func naive4(f tt.TT) *mig.MIG {
 	m := mig.New(4)
+	m.AddOutput(addNaive4(m, [4]mig.Lit{m.Input(0), m.Input(1), m.Input(2), m.Input(3)}, f))
+	return m
+}
+
+// addNaive4 builds f over vars in m as naive4 does and returns its signal.
+func addNaive4(m *mig.MIG, vars [4]mig.Lit, f tt.TT) mig.Lit {
 	out := mig.Const0
 	for j := uint(0); j < 16; j++ {
 		if !f.Eval(j) {
 			continue
 		}
 		term := mig.Const1
-		for i := 0; i < 4; i++ {
-			term = m.And(term, m.Input(i).NotIf(j>>uint(i)&1 == 0))
+		for i, v := range vars {
+			term = m.And(term, v.NotIf(j>>uint(i)&1 == 0))
 		}
 		out = m.Or(out, term)
 	}
-	m.AddOutput(out)
+	return out
+}
+
+// redundantCones builds a multi-output graph whose every output is a
+// naive4 cone of a random function over four random inputs, so every
+// variant has cones to collapse. Minterms shared inside a cone, and
+// across cones over the same inputs, split the graph into many
+// fanout-free regions.
+func redundantCones(rng *rand.Rand, pis, outs int) *mig.MIG {
+	m := mig.New(pis)
+	for o := 0; o < outs; o++ {
+		var vars [4]mig.Lit
+		for i, v := range rng.Perm(pis)[:4] {
+			vars[i] = m.Input(v)
+		}
+		m.AddOutput(addNaive4(m, vars, tt.New(4, uint64(rng.Intn(1<<16)))))
+	}
 	return m
 }
 
