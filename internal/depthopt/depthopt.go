@@ -204,12 +204,31 @@ func criticalNodes(m *mig.MIG, fo []int) []bool {
 	return crit
 }
 
+// plan is one reassociation of a gate: the operands of one of the two
+// shapes the rules produce, with its arrival and its worst-case gate count.
+type plan struct {
+	arr      int
+	maxGates int
+	// distribute selects ⟨⟨a b c⟩ ⟨a b d⟩ e⟩ (distributivity) over
+	// ⟨a b ⟨c d e⟩⟩ (both associativity rules).
+	distribute bool
+	ops        [5]mig.Lit // a … e
+}
+
+// emit builds the plan's gates, inner ones first.
+func (pl *plan) emit(b *builder) mig.Lit {
+	o := &pl.ops
+	if pl.distribute {
+		return b.maj(b.maj(o[0], o[1], o[2]), b.maj(o[0], o[1], o[3]), o[4])
+	}
+	return b.maj(o[0], o[1], b.maj(o[2], o[3], o[4]))
+}
+
 // rebuildGate constructs 〈ops〉 with the arrival-minimizing reassociation.
 func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 	bestArr := b.arr(ops[:]...)
-	build := func() mig.Lit { return b.maj(ops[0], ops[1], ops[2]) }
 	if !b.critical {
-		return build()
+		return b.maj(ops[0], ops[1], ops[2])
 	}
 
 	// Identify the unique deepest operand; reassociation only helps when
@@ -224,21 +243,20 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 	p, q := ops[(deep+1)%3], ops[(deep+2)%3]
 	inner, isGate := b.innerOf(g)
 	if !isGate {
-		return build()
+		return b.maj(ops[0], ops[1], ops[2])
 	}
 
-	type plan struct {
-		arr      int
-		maxGates int // worst-case gates the emit can create
-		emit     func() mig.Lit
-	}
-	var plans []plan
+	// One slot per associativity rule and choice of the shared operand u,
+	// plus one for distributivity: a strashed gate's fanins are distinct,
+	// so each rule matches a given u at most once.
+	var plans [5]plan
+	np := 0
 
 	// Associativity: 〈x u 〈y u z〉〉 = 〈z u 〈y u x〉〉 — needs a shared
 	// operand u between the gate and its deepest child. Hoists the deepest
 	// grandchild z next to the root.
-	for _, ou := range []struct{ u, x mig.Lit }{{p, q}, {q, p}} {
-		u, x := ou.u, ou.x
+	for _, ou := range [2][2]mig.Lit{{p, q}, {q, p}} {
+		u, x := ou[0], ou[1]
 		for i := 0; i < 3; i++ {
 			if inner[i] != u {
 				continue
@@ -248,30 +266,25 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 			if b.level(ib) > b.level(ia) {
 				z, y = ib, ia
 			}
-			yn, un, xn, zn := y, u, x, z
-			arr := 1 + max3(b.level(zn), b.level(un), 1+max3(b.level(yn), b.level(un), b.level(xn)))
-			plans = append(plans, plan{arr: arr, maxGates: 2, emit: func() mig.Lit {
-				return b.maj(zn, un, b.maj(yn, un, xn))
-			}})
+			arr := 1 + max3(b.level(z), b.level(u), 1+max3(b.level(y), b.level(u), b.level(x)))
+			plans[np] = plan{arr: arr, maxGates: 2, ops: [5]mig.Lit{z, u, y, u, x}}
+			np++
 		}
 	}
 
 	// Complementary associativity: 〈x u 〈y ū z〉〉 = 〈x u 〈y x z〉〉 —
 	// replaces a deep complemented shared operand inside the child by the
 	// (possibly shallower) x.
-	for _, ou := range []struct{ u, x mig.Lit }{{p, q}, {q, p}} {
-		u, x := ou.u, ou.x
+	for _, ou := range [2][2]mig.Lit{{p, q}, {q, p}} {
+		u, x := ou[0], ou[1]
 		for i := 0; i < 3; i++ {
 			if inner[i] != u.Not() {
 				continue
 			}
-			ia, ib := inner[(i+1)%3], inner[(i+2)%3]
-			yn, un, xn := ia, u, x
-			zn := ib
-			arr := 1 + max3(b.level(xn), b.level(un), 1+max3(b.level(yn), b.level(xn), b.level(zn)))
-			plans = append(plans, plan{arr: arr, maxGates: 2, emit: func() mig.Lit {
-				return b.maj(xn, un, b.maj(yn, xn, zn))
-			}})
+			y, z := inner[(i+1)%3], inner[(i+2)%3]
+			arr := 1 + max3(b.level(x), b.level(u), 1+max3(b.level(y), b.level(x), b.level(z)))
+			plans[np] = plan{arr: arr, maxGates: 2, ops: [5]mig.Lit{x, u, y, x, z}}
+			np++
 		}
 	}
 
@@ -288,13 +301,12 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 		arr := 1 + max3(1+max3(b.level(p), b.level(q), b.level(u)),
 			1+max3(b.level(p), b.level(q), b.level(v)),
 			b.level(z))
-		plans = append(plans, plan{arr: arr, maxGates: 3, emit: func() mig.Lit {
-			return b.maj(b.maj(p, q, u), b.maj(p, q, v), z)
-		}})
+		plans[np] = plan{arr: arr, maxGates: 3, distribute: true, ops: [5]mig.Lit{p, q, u, v, z}}
+		np++
 	}
 
 	bestPlan := -1
-	for i, pl := range plans {
+	for i, pl := range plans[:np] {
 		if pl.arr >= bestArr || !b.allow(pl.maxGates) {
 			continue
 		}
@@ -304,9 +316,9 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 		}
 	}
 	if bestPlan < 0 {
-		return build()
+		return b.maj(ops[0], ops[1], ops[2])
 	}
-	return plans[bestPlan].emit()
+	return plans[bestPlan].emit(b)
 }
 
 func max3(a, b, c int) int {

@@ -26,7 +26,9 @@
 // the textual netlist format (ReadText/WriteText), BENCH interchange
 // (ReadBENCH/WriteBENCH — the wire format of the HTTP optimization
 // service, round-tripping byte-identically after one canonicalizing
-// write), and DOT rendering.
+// write), and DOT rendering. ReadBENCH accepts gate lines that use
+// signals defined on later lines and still parses in time linear in the
+// netlist, whatever the order of its lines.
 //
 // Concurrency contract: an *MIG is NOT safe for concurrent mutation —
 // Maj, AddOutput, SetOutput and the readers that lazily touch shared

@@ -3,6 +3,7 @@ package mig
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // ID identifies a node. ID 0 is the constant-0 terminal.
@@ -77,7 +78,8 @@ func New(numPIs int) *MIG {
 // reserve makes room for gates more gates: the node storage and the
 // structural-hashing table are grown once, so building that many gates
 // neither reallocates nor rehashes. It changes no node, literal or
-// lookup result. Only Compact, which knows its exact gate count, calls
+// lookup result. Only Compact, which knows its exact gate count, and
+// ReadBENCH, which counts MAJ lines (exact for a written netlist), call
 // it: presizing a pass output from its input's gate count kept the
 // full-size table live for the whole pass and raised peak memory.
 func (m *MIG) reserve(gates int) {
@@ -254,26 +256,21 @@ func (m *MIG) SetOutput(i int, l Lit) {
 }
 
 // Size returns the number of majority gates reachable from the outputs —
-// the "size" metric of the paper.
+// the "size" metric of the paper. Fanins have smaller IDs than their
+// gate, so one descending sweep marks everything reachable.
 func (m *MIG) Size() int {
 	seen := make([]bool, len(m.fanin))
-	var stack []ID
-	count := 0
 	for _, o := range m.outputs {
-		if id := o.ID(); m.IsGate(id) && !seen[id] {
-			seen[id] = true
-			stack = append(stack, id)
-		}
+		seen[o.ID()] = true
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	count := 0
+	for id := len(m.fanin) - 1; id > m.numPI; id-- {
+		if !seen[id] {
+			continue
+		}
 		count++
 		for _, ch := range m.fanin[id] {
-			if cid := ch.ID(); m.IsGate(cid) && !seen[cid] {
-				seen[cid] = true
-				stack = append(stack, cid)
-			}
+			seen[ch.ID()] = true
 		}
 	}
 	return count
@@ -310,27 +307,20 @@ func (m *MIG) Depth() int {
 
 // FanoutCounts returns, for every node, the number of references from
 // gates that are reachable from the outputs, plus one per primary output
-// pointing at the node.
+// pointing at the node. A gate is reachable exactly when its count is
+// positive, and all its references come from higher IDs, so one
+// descending sweep counts them.
 func (m *MIG) FanoutCounts() []int {
 	fo := make([]int, len(m.fanin))
-	seen := make([]bool, len(m.fanin))
-	var stack []ID
 	for _, o := range m.outputs {
 		fo[o.ID()]++
-		if id := o.ID(); m.IsGate(id) && !seen[id] {
-			seen[id] = true
-			stack = append(stack, id)
-		}
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for id := len(m.fanin) - 1; id > m.numPI; id-- {
+		if fo[id] == 0 {
+			continue
+		}
 		for _, ch := range m.fanin[id] {
 			fo[ch.ID()]++
-			if cid := ch.ID(); m.IsGate(cid) && !seen[cid] {
-				seen[cid] = true
-				stack = append(stack, cid)
-			}
 		}
 	}
 	return fo
@@ -399,6 +389,15 @@ func (m *MIG) Stats() Stats {
 	return Stats{PIs: m.numPI, POs: len(m.outputs), Size: m.Size(), Depth: m.Depth()}
 }
 
+// String renders "i/o=<PIs>/<POs> size=<Size> depth=<Depth>", the header
+// of every written BENCH netlist. It appends with strconv rather than
+// formatting with fmt, whose boxing allocates for values above 255, so
+// WriteBENCH allocates the same whatever the size of the graph.
 func (s Stats) String() string {
-	return fmt.Sprintf("i/o=%d/%d size=%d depth=%d", s.PIs, s.POs, s.Size, s.Depth)
+	b := make([]byte, 0, 48)
+	b = strconv.AppendInt(append(b, "i/o="...), int64(s.PIs), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(s.POs), 10)
+	b = strconv.AppendInt(append(b, " size="...), int64(s.Size), 10)
+	b = strconv.AppendInt(append(b, " depth="...), int64(s.Depth), 10)
+	return string(b)
 }

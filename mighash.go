@@ -103,7 +103,9 @@ func ReadMIG(r io.Reader) (*MIG, error) { return mig.ReadText(r) }
 // ReadBENCH parses a BENCH netlist (the ISCAS/LGSynth dialect used by ABC
 // and academic tools, extended with a ternary MAJ gate) into an MIG;
 // AND/OR/NAND/NOR/NOT/BUF/XOR/XNOR gates are lowered onto majority
-// gadgets. The inverse is the MIG.WriteBENCH method; writing is
+// gadgets. Gate lines may use signals defined on later lines, and parsing
+// takes time linear in the size of the netlist whatever the order of
+// its lines. The inverse is the MIG.WriteBENCH method; writing is
 // canonicalizing, and parse→write is idempotent from the first written
 // form, so netlists round-trip byte-identically.
 func ReadBENCH(r io.Reader) (*MIG, error) { return mig.ReadBENCH(r) }
