@@ -25,8 +25,14 @@ import (
 // in order; outputs o0, o1, …; internal gates n<id>.
 func (m *MIG) WriteBENCH(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# mighash MIG: %v\n", m.Stats())
-	line := make([]byte, 0, 128)
+	// The header's size and depth come from the fanout sweep the body
+	// needs anyway (a gate is live exactly when its count is positive)
+	// plus one level pass over the live gates.
+	fo := m.FanoutCounts()
+	size, depth := m.liveSizeDepth(fo)
+	st := Stats{PIs: m.numPI, POs: len(m.outputs), Size: size, Depth: depth}
+	line := st.appendTo(append(make([]byte, 0, 128), "# mighash MIG: "...))
+	bw.Write(append(line, '\n'))
 	for i := 0; i < m.numPI; i++ {
 		line = strconv.AppendInt(append(line[:0], "INPUT(x"...), int64(i), 10)
 		line = append(line, ")\n"...)
@@ -38,7 +44,6 @@ func (m *MIG) WriteBENCH(w io.Writer) error {
 		bw.Write(line)
 	}
 	// The constant node only gets a line when something references it.
-	fo := m.FanoutCounts()
 	if fo[0] > 0 {
 		bw.WriteString("n0 = CONST0\n")
 	}

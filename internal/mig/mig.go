@@ -326,6 +326,29 @@ func (m *MIG) FanoutCounts() []int {
 	return fo
 }
 
+// liveSizeDepth returns Size and Depth from the fanout counts fo of
+// FanoutCounts: the live gates are those with a positive count, and the
+// levels of one pass over them alone give the depth, because a live
+// gate's fanins are live too.
+func (m *MIG) liveSizeDepth(fo []int) (size, depth int) {
+	lv := make([]int32, len(m.fanin))
+	for id := m.numPI + 1; id < len(m.fanin); id++ {
+		if fo[id] == 0 {
+			continue
+		}
+		size++
+		top := int32(0)
+		for _, ch := range m.fanin[id] {
+			top = max(top, lv[ch.ID()])
+		}
+		lv[id] = top + 1
+	}
+	for _, o := range m.outputs {
+		depth = max(depth, int(lv[o.ID()]))
+	}
+	return size, depth
+}
+
 // Compact returns a compacted copy containing only nodes reachable from
 // the outputs, with the same inputs and outputs (in order). Reachability
 // is marked by one descending sweep and the copy by one ascending sweep —
@@ -390,14 +413,15 @@ func (m *MIG) Stats() Stats {
 }
 
 // String renders "i/o=<PIs>/<POs> size=<Size> depth=<Depth>", the header
-// of every written BENCH netlist. It appends with strconv rather than
-// formatting with fmt, whose boxing allocates for values above 255, so
-// WriteBENCH allocates the same whatever the size of the graph.
-func (s Stats) String() string {
-	b := make([]byte, 0, 48)
+// of every written BENCH netlist.
+func (s Stats) String() string { return string(s.appendTo(make([]byte, 0, 48))) }
+
+// appendTo appends the String form to b. It appends with strconv rather
+// than formatting with fmt, whose boxing allocates for values above 255,
+// so WriteBENCH allocates the same whatever the size of the graph.
+func (s Stats) appendTo(b []byte) []byte {
 	b = strconv.AppendInt(append(b, "i/o="...), int64(s.PIs), 10)
 	b = strconv.AppendInt(append(b, '/'), int64(s.POs), 10)
 	b = strconv.AppendInt(append(b, " size="...), int64(s.Size), 10)
-	b = strconv.AppendInt(append(b, " depth="...), int64(s.Depth), 10)
-	return string(b)
+	return strconv.AppendInt(append(b, " depth="...), int64(s.Depth), 10)
 }

@@ -5,12 +5,18 @@ import "mighash/internal/mig"
 // candidate is one entry of a node's candidate list in Algorithm 2: a
 // signal in the output graph implementing the node, its dynamic-
 // programming size (gates attributed to it inside the current fanout-free
-// region) and its depth (actual level in the output graph).
+// region) and its depth (actual level in the output graph). The fields
+// are 32-bit because the workspace keeps every node's list for the life
+// of a pipeline run.
 type candidate struct {
 	lit   mig.Lit
-	size  int
-	depth int
+	size  int32
+	depth int32
 }
+
+// candSpan locates a node's finished candidate list in the workspace's
+// candidate arena.
+type candSpan struct{ start, n int32 }
 
 // runBottomUp implements Algorithm 2, applied per fanout-free region.
 // Nodes are visited in topological order; each node accumulates a capped
@@ -20,56 +26,69 @@ type candidate struct {
 // candidate is settled so that consuming regions see a single
 // implementation with its cost already paid (otherwise tree-structured DP
 // sums would double-count shared logic).
+//
+// A node's list is built in one reused scratch list and, once final, is
+// appended to an arena that holds every node's list back to back. The
+// arena, the per-node spans and the scratch belong to the workspace and
+// are reused across passes, so once they have grown to the graph's size
+// a pass allocates no candidate storage.
 func (r *rewriter) runBottomUp() {
 	n := r.m.NumNodes()
 	st := &r.ws.eval[0]
-	cands := make([][]candidate, n)
-	cands[0] = []candidate{{lit: mig.Const0}}
+	if cap(r.ws.spans) < n {
+		r.ws.spans = make([]candSpan, n)
+	}
+	r.ws.spans = r.ws.spans[:n]
+	clear(r.ws.spans) // dead gates keep an empty list
+	r.ws.cands = r.ws.cands[:0]
+	r.settle(0, candidate{lit: mig.Const0})
 	for i := 0; i < r.m.NumPIs(); i++ {
-		cands[r.m.Input(i).ID()] = []candidate{{lit: r.out.Input(i)}}
+		r.settle(r.m.Input(i).ID(), candidate{lit: r.out.Input(i)})
 	}
 	for id := r.m.NumPIs() + 1; id < n; id++ {
 		if r.fo[id] == 0 {
 			continue // dead gate
 		}
 		v := mig.ID(id)
-		var list []candidate
+		list := r.ws.visit[:0]
 
 		// Fallback: v's own majority gate over the children candidates.
 		f := r.m.Fanin(v)
-		r.eachCombo([]mig.ID{f[0].ID(), f[1].ID(), f[2].ID()}, cands, func(sel []candidate) {
+		r.eachCombo([]mig.ID{f[0].ID(), f[1].ID(), f[2].ID()}, func(sel []candidate) {
 			lit := r.addMaj(
 				sel[0].lit.NotIf(f[0].Comp()),
 				sel[1].lit.NotIf(f[1].Comp()),
 				sel[2].lit.NotIf(f[2].Comp()))
 			size := sel[0].size + sel[1].size + sel[2].size + 1
-			list = r.insert(list, candidate{lit: lit, size: size, depth: r.level(lit)})
+			list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.level(lit))})
 		})
 
 		// Cut replacements (Algorithm 2 lines 5–10).
 		r.eachCut(v, st, func(rep replacement, _ []mig.ID) {
-			r.eachCombo(rep.leaves, cands, func(sel []candidate) {
+			r.eachCombo(rep.leaves, func(sel []candidate) {
 				var leafSigs [5]mig.Lit
-				size := rep.entry.Size()
+				size := int32(rep.entry.Size())
 				for j := range sel {
 					leafSigs[j] = sel[j].lit
 					size += sel[j].size
 				}
 				lit := r.instantiate(rep.entry, rep.tr, leafSigs[:len(sel)])
 				r.replacements++
-				list = r.insert(list, candidate{lit: lit, size: size, depth: r.level(lit)})
+				list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.level(lit))})
 			})
 		})
 
 		if r.ffr != nil && r.ffr[v] == v && len(list) > 0 {
 			// Region root: settle on the best candidate. Consumers pay
 			// nothing extra for it, mirroring the FFR partitioning.
-			list = []candidate{{lit: list[0].lit, size: 0, depth: list[0].depth}}
+			list = list[:1]
+			list[0].size = 0
 		}
-		cands[v] = list
+		r.ws.visit = list
+		r.settle(v, list...)
 	}
 	for _, o := range r.m.Outputs() {
-		best := cands[o.ID()]
+		best := r.candidates(o.ID())
 		if len(best) == 0 {
 			panic("rewrite: no candidate for an output node")
 		}
@@ -77,11 +96,23 @@ func (r *rewriter) runBottomUp() {
 	}
 }
 
+// settle appends v's final candidate list to the arena.
+func (r *rewriter) settle(v mig.ID, list ...candidate) {
+	r.ws.spans[v] = candSpan{start: int32(len(r.ws.cands)), n: int32(len(list))}
+	r.ws.cands = append(r.ws.cands, list...)
+}
+
+// candidates returns the settled candidate list of node id.
+func (r *rewriter) candidates(id mig.ID) []candidate {
+	sp := r.ws.spans[id]
+	return r.ws.cands[sp.start : sp.start+sp.n]
+}
+
 // eachCombo invokes fn on every combination of the nodes' candidates,
 // each node contributing at most PerLeafCandidates entries. eachCombo
 // mutates and reuses one workspace-owned selection slice; fn must not
 // retain it.
-func (r *rewriter) eachCombo(nodes []mig.ID, cands [][]candidate, fn func(sel []candidate)) {
+func (r *rewriter) eachCombo(nodes []mig.ID, fn func(sel []candidate)) {
 	k := len(nodes)
 	if cap(r.ws.sel) < k {
 		r.ws.sel = make([]candidate, k)
@@ -93,7 +124,7 @@ func (r *rewriter) eachCombo(nodes []mig.ID, cands [][]candidate, fn func(sel []
 			fn(sel)
 			return
 		}
-		list := cands[nodes[i]]
+		list := r.candidates(nodes[i])
 		limit := r.opt.PerLeafCandidates
 		if limit > len(list) {
 			limit = len(list)

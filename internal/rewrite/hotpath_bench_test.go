@@ -7,7 +7,7 @@ package rewrite
 //     per-cut cone re-simulation they replaced
 //   - the steady-state best-cut evaluation loop, which must allocate ~0 B/op
 //   - structural hashing through the open-addressing strash
-//   - whole passes, serial vs FFR-parallel
+//   - whole passes, serial vs FFR-parallel, and one bottom-up pass
 //
 // plus the determinism test for parallel rewriting: any worker count must
 // produce a bit-identical MIG (checked under -race in CI).
@@ -160,11 +160,11 @@ func BenchmarkRewriteHotPathStrash(b *testing.B) {
 }
 
 // BenchmarkRewriteHotPathPassSerial and ...PassParallel measure one full
-// TF pass end to end with a reused workspace, serial vs FFR-parallel.
-func benchPass(b *testing.B, workers int) {
+// TF pass end to end with a reused workspace, serial vs FFR-parallel;
+// ...PassBF measures one bottom-up pass the same way.
+func benchPass(b *testing.B, opt Options, workers int) {
 	m := benchGraph(b)
 	d := loadDB(b)
-	opt := TF
 	opt.Workspace = NewWorkspace()
 	opt.Workers = workers
 	Run(m, d, opt) // warm workspace and lookup memos
@@ -175,8 +175,9 @@ func benchPass(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkRewriteHotPathPassSerial(b *testing.B)   { benchPass(b, 1) }
-func BenchmarkRewriteHotPathPassParallel(b *testing.B) { benchPass(b, 8) }
+func BenchmarkRewriteHotPathPassSerial(b *testing.B)   { benchPass(b, TF, 1) }
+func BenchmarkRewriteHotPathPassParallel(b *testing.B) { benchPass(b, TF, 8) }
+func BenchmarkRewriteHotPathPassBF(b *testing.B)       { benchPass(b, BF, 1) }
 
 // TestBestCutLoopSteadyStateAllocs pins the acceptance criterion in a
 // test: the steady-state cut-evaluation loop allocates nothing.

@@ -263,6 +263,9 @@ type Workspace struct {
 	starts  []int32        // region boundaries into perm
 	sig     []mig.Lit      // instantiate scratch
 	sel     []candidate    // bottom-up combination scratch
+	visit   []candidate    // bottom-up: the list of the node being visited
+	cands   []candidate    // bottom-up: every settled list, back to back
+	spans   []candSpan     // bottom-up: per-node list in cands
 	choices [][]choiceRec  // choice mode: per-node recorded menus
 	graph   extract.Graph  // choice mode: arena reused across passes
 	sigs    sigTable       // choice mode: duplicate-cone IDs of the graph build

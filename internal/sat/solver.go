@@ -1,9 +1,10 @@
 package sat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -71,7 +72,7 @@ const (
 )
 
 type clause struct {
-	lits    []Lit
+	lits    []Lit // a window into one of the solver's literal slabs
 	act     float64
 	lbd     int32
 	learnt  bool
@@ -92,13 +93,20 @@ type Stats struct {
 	Learnt       int64
 }
 
+// slabMax caps the size, in literals, of one clause-literal slab. Slabs
+// start small and double up to this size, so a small formula holds little
+// more memory than its literals and a large one allocates once per 256 KiB.
+const slabMax = 1 << 16
+
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // instances with New.
 type Solver struct {
 	clauses []clause
 	watches [][]watcher
+	slab    []Lit // the current literal slab; clauses are appended to it
+	learnts int   // live (learnt and not deleted) clauses
 
-	assign  []int8  // current assignment per variable
+	vals    []int8  // current value per literal, indexed by Lit
 	level   []int32 // decision level per assigned variable
 	reason  []int32 // antecedent clause per assigned variable (-1 = decision)
 	trail   []Lit
@@ -110,12 +118,19 @@ type Solver struct {
 	polarity []bool // saved phases
 	heap     *varHeap
 
+	// Scratch owned by conflict analysis and clause-database reduction,
+	// reused across conflicts so that neither allocates in steady state.
 	seen     []byte
-	analyzeT []Lit // scratch for minimization
+	analyzeT []Lit    // variables marked during minimization, for undo
+	learnt   []Lit    // the clause analyze builds
+	stack    []Lit    // litRedundant's depth-first stack
+	lbdMark  []uint32 // per decision level: the lbdEpoch that last counted it
+	lbdEpoch uint32
+	locked   []bool  // per clause: a reason on the trail (reduceDB only)
+	reduce   []int32 // reduceDB's deletion candidates
 
-	ok          bool   // false once an empty clause is derived
-	model       []int8 // assignment snapshot of the last Sat result
-	firstLearnt int    // index of first learnt clause in clauses
+	ok    bool   // false once an empty clause is derived
+	model []int8 // per-literal value snapshot of the last Sat result
 
 	claInc      float64
 	maxLearnts  float64
@@ -131,16 +146,15 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		ok:          true,
-		varInc:      1,
-		claInc:      1,
-		firstLearnt: -1,
-		heap:        newVarHeap(),
+		ok:     true,
+		varInc: 1,
+		claInc: 1,
+		heap:   newVarHeap(),
 	}
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int {
@@ -155,8 +169,8 @@ func (s *Solver) NumClauses() int {
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
@@ -167,27 +181,13 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) valueLit(l Lit) int8 {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Sign() {
-		return -a
-	}
-	return a
-}
+func (s *Solver) valueLit(l Lit) int8 { return s.vals[l] }
 
 // Value returns the model value of variable v after a Sat result.
-func (s *Solver) Value(v int) bool { return s.model[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.model[PosLit(v)] == lTrue }
 
 // ValueLit returns the model value of literal l after a Sat result.
-func (s *Solver) ValueLit(l Lit) bool {
-	if l.Sign() {
-		return s.model[l.Var()] == lFalse
-	}
-	return s.model[l.Var()] == lTrue
-}
+func (s *Solver) ValueLit(l Lit) bool { return s.model[l] == lTrue }
 
 // AddClause adds a clause over the given literals. It returns false if the
 // solver is already in an unsatisfiable state (now or as a result of this
@@ -200,7 +200,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0) // a previous Solve may have left the model trail in place
 	// Normalize: sort, remove duplicates, drop tautologies and literals
 	// already false at level 0, succeed on literals already true.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev Lit = ^Lit(0)
 	for _, l := range lits {
@@ -236,12 +236,22 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
+// pushClause stores a copy of lits at the end of the current slab, or of
+// a fresh one when it does not fit, and appends the clause. Clause
+// literals are never freed (reduceDB only marks clauses deleted), so the
+// slabs only grow.
 func (s *Solver) pushClause(lits []Lit, learnt bool) int32 {
-	c := clause{lits: append([]Lit(nil), lits...), learnt: learnt, act: s.claInc}
+	if len(lits) > cap(s.slab)-len(s.slab) {
+		s.slab = make([]Lit, 0, max(min(2*cap(s.slab), slabMax), len(lits), 64))
+	}
+	start := len(s.slab)
+	s.slab = append(s.slab, lits...)
+	c := clause{lits: s.slab[start:len(s.slab):len(s.slab)], learnt: learnt, act: s.claInc}
 	cref := int32(len(s.clauses))
 	s.clauses = append(s.clauses, c)
 	if learnt {
 		s.Stats.Learnt++
+		s.learnts++
 	}
 	return cref
 }
@@ -256,59 +266,62 @@ func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLi)) }
 
 func (s *Solver) enqueue(l Lit, from int32) {
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation and returns the reference of a
-// conflicting clause, or -1 if no conflict arises.
+// conflicting clause, or -1 if no conflict arises. Neither the literal
+// values nor the clause list grow while it runs, so it reads both
+// through local slice headers.
 func (s *Solver) propagate() int32 {
+	vals, clauses := s.vals, s.clauses
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		n := 0
 	nextWatch:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueLit(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := &s.clauses[w.cref]
+			c := &clauses[w.cref]
 			if c.deleted {
 				continue
 			}
+			lits := c.lits
 			// Ensure the false literal is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{w.cref, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.cref, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := lits[1].Not()
+					s.watches[nw] = append(s.watches[nw], watcher{w.cref, first})
 					continue nextWatch
 				}
 			}
 			// Clause is unit or conflicting.
 			ws[n] = w
 			n++
-			if s.valueLit(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: keep the remaining watchers and bail out.
 				for i++; i < len(ws); i++ {
 					ws[n] = ws[i]
@@ -333,9 +346,11 @@ func (s *Solver) cancelUntil(lvl int32) {
 	}
 	bound := s.trailLi[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.trail[i].Sign()
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = l.Sign()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = -1
 		s.heap.insertIfAbsent(v, s.activity)
 	}
@@ -366,9 +381,10 @@ func (s *Solver) bumpClause(c *clause) {
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
-// clause (asserting literal first) and the backtrack level.
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in solver scratch and is valid until the next call.
 func (s *Solver) analyze(confl int32) ([]Lit, int32) {
-	learnt := []Lit{0} // reserve slot for the asserting literal
+	learnt := append(s.learnt[:0], 0) // reserve slot for the asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
 	var p Lit = ^Lit(0)
@@ -439,13 +455,14 @@ func (s *Solver) analyze(confl int32) ([]Lit, int32) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = s.level[learnt[1].Var()]
 	}
+	s.learnt = learnt
 	return learnt, btLevel
 }
 
 // litRedundant reports whether l is implied by the remaining learnt-clause
 // literals, walking the implication graph (recursive minimization).
 func (s *Solver) litRedundant(l Lit) bool {
-	stack := []Lit{l}
+	stack := append(s.stack[:0], l)
 	top := len(s.analyzeT)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1].Var()
@@ -464,6 +481,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 					s.seen[m.Var()] = 0
 				}
 				s.analyzeT = s.analyzeT[:top]
+				s.stack = stack
 				return false
 			}
 			s.seen[qv] = 1
@@ -471,45 +489,73 @@ func (s *Solver) litRedundant(l Lit) bool {
 			stack = append(stack, q)
 		}
 	}
+	s.stack = stack
 	return true
 }
 
+// computeLBD returns the number of distinct decision levels among lits.
+// Each call counts under a fresh epoch, so the per-level marks never need
+// clearing (except once when the epoch wraps).
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	levels := map[int32]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 {
+		clear(s.lbdMark)
+		s.lbdEpoch = 1
 	}
-	return int32(len(levels))
+	n := int32(0)
+	for _, l := range lits {
+		lv := s.level[l.Var()]
+		if int(lv) >= len(s.lbdMark) {
+			s.lbdMark = append(s.lbdMark, make([]uint32, int(lv)+1-len(s.lbdMark))...)
+		}
+		if s.lbdMark[lv] != s.lbdEpoch {
+			s.lbdMark[lv] = s.lbdEpoch
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) reduceDB() {
 	// Collect learnt clauses that are not reasons for current assignments.
-	locked := make(map[int32]bool)
+	if len(s.locked) < len(s.clauses) {
+		s.locked = append(s.locked, make([]bool, len(s.clauses)-len(s.locked))...)
+	}
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r >= 0 {
-			locked[r] = true
+			s.locked[r] = true
 		}
 	}
-	var learnts []int32
+	learnts := s.reduce[:0]
 	for i := range s.clauses {
 		c := &s.clauses[i]
-		if c.learnt && !c.deleted && !locked[int32(i)] && len(c.lits) > 2 {
+		if c.learnt && !c.deleted && !s.locked[i] && len(c.lits) > 2 {
 			learnts = append(learnts, int32(i))
 		}
 	}
-	sort.Slice(learnts, func(a, b int) bool {
-		ca, cb := &s.clauses[learnts[a]], &s.clauses[learnts[b]]
-		if ca.lbd != cb.lbd {
-			return ca.lbd > cb.lbd
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r >= 0 {
+			s.locked[r] = false
 		}
-		return ca.act < cb.act
+	}
+	// Highest LBD first, then lowest activity. slices.SortFunc runs the
+	// same pattern-defeating quicksort as sort.Slice, so clauses that tie
+	// on both keep the order, and the deletions, that sort.Slice gave them.
+	slices.SortFunc(learnts, func(a, b int32) int {
+		ca, cb := &s.clauses[a], &s.clauses[b]
+		if ca.lbd != cb.lbd {
+			return cmp.Compare(cb.lbd, ca.lbd)
+		}
+		return cmp.Compare(ca.act, cb.act)
 	})
 	for _, cref := range learnts[:len(learnts)/2] {
 		if s.clauses[cref].lbd <= 2 {
 			continue
 		}
 		s.clauses[cref].deleted = true
+		s.learnts--
 	}
+	s.reduce = learnts
 	// Purge deleted clauses from the watch lists.
 	for li := range s.watches {
 		ws := s.watches[li]
@@ -561,7 +607,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.lubyIdx++
 		st := s.search(budget, assumptions)
 		if st == Sat {
-			s.model = append(s.model[:0], s.assign...)
+			s.model = append(s.model[:0], s.vals...)
 			s.cancelUntil(0)
 			return Sat
 		}
@@ -607,7 +653,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) Status {
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if float64(s.countLearnts()) > s.maxLearnts {
+			if float64(s.learnts) > s.maxLearnts {
 				s.maxLearnts *= 1.3
 				s.reduceDB()
 			}
@@ -652,23 +698,13 @@ func (s *Solver) search(budget int64, assumptions []Lit) Status {
 	}
 }
 
-func (s *Solver) countLearnts() int {
-	n := 0
-	for i := range s.clauses {
-		if s.clauses[i].learnt && !s.clauses[i].deleted {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Solver) pickBranchVar() int {
 	for {
 		v := s.heap.pop(s.activity)
 		if v == -1 {
 			return -1
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return v
 		}
 	}
