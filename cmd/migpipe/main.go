@@ -9,7 +9,6 @@
 //	migpipe -script resyn -benchmarks Sine,Max -verify sat
 //	migpipe -script resyn -verify sim -json       # differential harness, machine-readable
 //	migpipe -script BF -in circuit.bench -split   # one job per output cone
-//	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
 //	migpipe -script TFD -in c.bench -verify sat -out opt.bench  # optimize one file, save the result
 //	migpipe -script quick -benchmarks Max -out max.dot  # Graphviz rendering of one result
 //	migpipe -script resyn5                    # resyn plus 5-input functional hashing
@@ -19,9 +18,10 @@
 //	migpipe -script resyn5 -trace trace.json  # Chrome/Perfetto trace of the run
 //	migpipe -scripts                          # list available scripts
 //
-// With a single job the -workers budget moves from the batch pool to the
-// pipeline's intra-graph rewriter (best-cut evaluation over independent
-// fanout-free regions); results are bit-identical at any worker count.
+// -workers sizes the batch job pool. Each job runs on one goroutine, so a
+// single job (one -benchmarks name, or -in without -split) uses one CPU;
+// -split turns one graph into one job per output cone. Results are
+// bit-identical at any worker count.
 //
 // -verify selects a rung of the verification ladder (ARCHITECTURE.md,
 // "Verification"): "sat" proves every final result equivalent to its
@@ -58,14 +58,14 @@
 // With -url the jobs are not optimized locally: they are serialized to
 // BENCH and submitted to a running migserve at that base URL via
 // POST /v1/optimize/batch, and the reported statistics are the server's.
-// The engine-local -cachefile/-synth-* flags are ignored
-// remotely (with a warning), and the reported worker count is the
-// requested value — the server clamps the parallelism it actually
-// grants. Transient failures — connection errors, 503s, other 5xx
-// responses received before any payload — are retried up to -retries
-// times with capped exponential backoff, full jitter, and the server's
-// Retry-After hint as a floor; the -json report carries the attempt
-// count spent (see the README's "HTTP API" retry contract).
+// The engine-local -cachefile/-synth-* flags are ignored remotely (with
+// a warning). -workers does not reach the server either: it runs one
+// request's jobs one after another, so the reported worker count is 1.
+// Transient failures — connection errors, 503s, other 5xx responses
+// received before any payload — are retried up to -retries times with
+// capped exponential backoff, full jitter, and the server's Retry-After
+// hint as a floor; the -json report carries the attempt count spent (see
+// the README's "HTTP API" retry contract).
 package main
 
 import (
@@ -109,10 +109,9 @@ type jsonResult struct {
 
 type jsonReport struct {
 	Script string `json:"script"`
-	// Workers is the batch pool size that actually ran locally; for
-	// remote runs it is the requested value verbatim (the server clamps
-	// per-request workers to its own limit, so the local pool size would
-	// be a lie — 0 means "server default").
+	// Workers is the size of the job pool that ran: the local batch
+	// pool, or 1 for -url runs, whose server runs one request's jobs one
+	// after another.
 	Workers int           `json:"workers"`
 	Jobs    int           `json:"jobs"`
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -188,7 +187,7 @@ func main() {
 	var (
 		script     = flag.String("script", "resyn", "pass script to run (see -scripts)")
 		listOnly   = flag.Bool("scripts", false, "list available scripts and exit")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
+		workers    = flag.Int("workers", 0, "batch job pool size (0 = NumCPU)")
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
 		in         = flag.String("in", "", "optimize one MIG file instead of the benchmark suite")
 		split      = flag.Bool("split", false, "with -in: one batch job per output cone")
@@ -224,16 +223,6 @@ func main() {
 	}
 	if *out != "" && (*url != "" || len(jobs) > 1) {
 		log.Fatalf("-out saves one local result: it needs a single job (one -benchmarks name, or -in without -split) and no -url")
-	}
-	if len(jobs) == 1 {
-		// A single job cannot use the batch pool, so hand the workers to
-		// the pipeline's intra-graph parallel rewriter instead: best cuts
-		// of independent fanout-free regions are evaluated concurrently
-		// and committed deterministically, so the result is bit-identical
-		// to a serial run.
-		if p.Workers = *workers; p.Workers <= 0 {
-			p.Workers = runtime.NumCPU()
-		}
 	}
 	var harness *diff.Harness
 	if simVerify && *url == "" {
@@ -277,7 +266,7 @@ func main() {
 	var results []engine.Result
 	var attempts int
 	if *url != "" {
-		results, attempts, err = runRemote(ctx, *url, p.Name, *workers, *verify, *timeout, *retries, jobs)
+		results, attempts, err = runRemote(ctx, *url, p.Name, *verify, *timeout, *retries, jobs)
 	} else {
 		results, err = engine.RunBatch(ctx, p, jobs, opt)
 	}
@@ -365,12 +354,11 @@ func main() {
 		}
 	}
 
-	// Remote runs report the requested worker count verbatim: the server
-	// clamps per-request workers to its own limit, so the local pool size
-	// never ran anywhere and reporting it would be misleading.
+	// The server runs one request's jobs one after another, so a remote
+	// run's pool is 1 whatever -workers asked for.
 	reportedWorkers := effectiveWorkers(*workers, len(jobs))
 	if *url != "" {
-		reportedWorkers = *workers
+		reportedWorkers = 1
 	}
 	var cacheHits, cacheMisses int
 	var extractChoices, extractSaved int
@@ -576,9 +564,9 @@ func writeGraph(path string, m *mig.MIG) error {
 // retries extra times with capped exponential backoff and full jitter
 // (see retryPolicy); the attempt count spent is reported back for the
 // -json attempts fields.
-func runRemote(ctx context.Context, baseURL, script string, workers int, verify string, timeout time.Duration, retries int, jobs []engine.Job) ([]engine.Result, int, error) {
+func runRemote(ctx context.Context, baseURL, script, verify string, timeout time.Duration, retries int, jobs []engine.Job) ([]engine.Result, int, error) {
 	req := server.BatchRequest{
-		ScriptSpec: server.ScriptSpec{Script: script, Workers: workers},
+		ScriptSpec: server.ScriptSpec{Script: script},
 		Verify:     verify != "",
 		VerifyMode: verify,
 	}

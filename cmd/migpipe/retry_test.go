@@ -191,7 +191,7 @@ func TestRunRemoteReportsAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []engine.Job{{Name: "tiny", M: m}}
-	results, attempts, err := runRemote(context.Background(), ts.URL, "resyn", 0, "", 0, 4, jobs)
+	results, attempts, err := runRemote(context.Background(), ts.URL, "resyn", "", 0, 4, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	migserve                          # listen on :8080
-//	migserve -addr :9090 -concurrency 8
+//	migserve -addr :9090 -concurrency 8    # 8 jobs in flight, one CPU each
 //	migserve -max-body 4194304 -timeout 30s -max-timeout 2m
 //	migserve -cache-file /var/lib/migserve/npn.cache -cache-snapshot 2m
 //	migserve -trace-dir /tmp/traces -slow-log 2s   # per-request Chrome traces
@@ -36,7 +36,7 @@
 // Endpoints (see internal/server and the README's HTTP API section):
 //
 //	POST /v1/optimize        optimize one netlist
-//	POST /v1/optimize/batch  optimize many netlists concurrently
+//	POST /v1/optimize/batch  optimize many netlists in one request
 //	GET  /v1/scripts         list available scripts
 //	GET  /v1/stats           live per-preset QoR aggregates (JSON)
 //	GET  /healthz            liveness probe
@@ -83,8 +83,7 @@ func main() {
 		maxGates    = flag.Int("max-gates", 0, "parsed netlist gate cap (0 = default, <0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "default per-request optimization deadline (0 = 60s)")
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on client-requested deadlines (0 = 5m)")
-		concurrency = flag.Int("concurrency", 0, "optimization jobs in flight at once (0 = NumCPU)")
-		maxWorkers  = flag.Int("max-workers", 0, "cap on per-request intra-graph workers (0 = 4)")
+		concurrency = flag.Int("concurrency", 0, "optimization jobs in flight at once, one CPU each (0 = NumCPU)")
 		cacheFile   = flag.String("cache-file", "", "persist the learned 5-input store to this snapshot file")
 		cacheSnap   = flag.Duration("cache-snapshot", 0, "periodic snapshot interval (0 = 5m, <0 = shutdown-only)")
 		synthConfl  = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
@@ -118,7 +117,6 @@ func main() {
 		DefaultTimeout:        *timeout,
 		MaxTimeout:            *maxTimeout,
 		MaxConcurrent:         *concurrency,
-		MaxWorkersPerRequest:  *maxWorkers,
 		CacheFile:             *cacheFile,
 		CacheSnapshotInterval: *cacheSnap,
 		Synth5: db.OnDemandOptions{

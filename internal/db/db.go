@@ -55,7 +55,7 @@ func (d *DB) Lookup(f tt.TT) (*Entry, npn.Transform, bool) {
 
 // Cache memoizes Lookup for one goroutine: a plain map from 4-input
 // truth table to lookup result, with no locks, so each rewrite
-// evaluation worker owns its own. It holds *Entry pointers of the DB it
+// workspace owns its own. It holds *Entry pointers of the DB it
 // was filled through and must not be used with another DB.
 type Cache struct {
 	m map[uint16]cacheVal

@@ -13,8 +13,8 @@
 // a target graph. Bound is the Theorem 2 size bound 10·(2^(n−4)−1)+7.
 //
 // Cache memoizes the (canonicalize, lookup) pair in a plain map for one
-// goroutine: each rewrite evaluation worker owns one for a pipeline run,
-// and LookupCached reports hits so the worker can count its traffic.
+// goroutine: each rewrite workspace owns one for a pipeline run, and
+// LookupCached reports hits so the pass can count its traffic.
 //
 // OnDemand (exact5.go) is the learned 5-input database: a miss
 // semi-canonicalizes the cut function (npn.Canonize5), synthesizes the

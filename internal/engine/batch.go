@@ -142,10 +142,9 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 				jctx, jspan := obs.Start(ctx, "job")
 				jspan.SetStr("name", jobs[i].Name)
 				// pprof labels make CPU profiles attributable: samples from
-				// this job (and every goroutine it spawns — intra-graph
-				// rewrite workers, exact-synthesis ladders) carry the circuit
-				// and preset, so `go tool pprof -tagfocus` can isolate one
-				// job's cost from a busy batch.
+				// this job, exact-synthesis ladders included, carry the
+				// circuit and preset, so `go tool pprof -tagfocus` can
+				// isolate one job's cost from a busy batch.
 				var (
 					m   *mig.MIG
 					st  PipelineStats
@@ -190,8 +189,7 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 }
 
 // runJob executes one job's pipeline with the batch's panic boundary: a
-// panic anywhere under the pipeline — a pass, the rewriter (which
-// re-raises its worker-goroutine panics on the job goroutine), injected
+// panic anywhere under the pipeline — a pass, the rewriter, injected
 // chaos — becomes a Result.Err wrapping ErrJobPanic, carrying the panic
 // value and a bounded stack. Sibling jobs and their bit-identical
 // results are unaffected: recovery happens strictly outside the

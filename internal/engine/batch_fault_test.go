@@ -136,33 +136,3 @@ func TestRunBatchJobFailpoint(t *testing.T) {
 		}
 	}
 }
-
-// TestRunBatchRecoversRewriteWorkerPanic: a panic inside a rewrite
-// evaluation worker goroutine crosses back to the job goroutine (see
-// internal/rewrite) and lands in the same ErrJobPanic boundary — the
-// full path a real pass bug under intra-graph parallelism would take.
-func TestRunBatchRecoversRewriteWorkerPanic(t *testing.T) {
-	defer fault.Reset()
-	d := loadDB(t)
-	jobs := []Job{{Name: "solo", M: randomMIG(rand.New(rand.NewSource(9)), 6, 150, 2)}}
-	p, err := NewScript("t", "TF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.DB = d
-	p.Workers = 4
-	if err := fault.Enable("rewrite/ffr-region", "count(1)*panic(chaos in a worker)"); err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := results[0].Err
-	if !errors.Is(e, ErrJobPanic) {
-		t.Fatalf("worker panic surfaced as %v, want ErrJobPanic", e)
-	}
-	if msg := e.Error(); !strings.Contains(msg, "evaluation worker panicked") || !strings.Contains(msg, "chaos in a worker") {
-		t.Fatalf("panic error %q should carry the worker's panic value", msg)
-	}
-}

@@ -15,12 +15,15 @@
 //     NewScript. PresetNames lists the presets, "depthopt" and the
 //     grammar — the CLIs and GET /v1/scripts derive from it.
 //   - RunBatch optimizes many MIGs concurrently on a bounded worker pool
-//     with deterministic result ordering and context cancellation.
+//     with deterministic result ordering and context cancellation. It is
+//     the engine's only parallelism: every pipeline run is one goroutine,
+//     so a single large graph is spread over CPUs by splitting it into
+//     output cones first (SplitOutputs).
 //
-// Each pipeline run owns one rewrite workspace, and with it the lookup
-// memos of its evaluation workers: the canonicalization + database
-// lookup of every 4-feasible cut — the hot path of functional hashing —
-// is memoized across the passes and iterations of the run. K = 5 scripts
+// Each pipeline run owns one rewrite workspace, and with it one lookup
+// memo: the canonicalization + database lookup of every 4-feasible cut —
+// the hot path of functional hashing — is memoized across the passes and
+// iterations of the run. K = 5 scripts
 // additionally share an on-demand exact-synthesis store (Pipeline.Exact5
 // / BatchOptions.Exact5, budget via BatchOptions.Synth5): 5-input classes
 // are learned once per process and fed to every worker, with the run's

@@ -45,17 +45,15 @@ func (s PassStats) String() string {
 
 // passEnv is the shared context a pass executes in: the database of the
 // whole run, the on-demand 5-input store feeding the K = 5 passes, the
-// run's context (cancelling in-flight exact synthesis), the rewrite
+// run's context (cancelling in-flight exact synthesis) and the rewrite
 // workspace reused across all passes and iterations of one pipeline run
 // (each RunContext owns a private one, so concurrent batch workers never
-// share scratch, and its workers' lookup memos live as long as the run),
-// and the intra-graph worker budget.
+// share scratch, and its lookup memo lives as long as the run).
 type passEnv struct {
-	ctx     context.Context
-	d       *db.DB
-	exact5  *db.OnDemand
-	ws      *rewrite.Workspace
-	workers int
+	ctx    context.Context
+	d      *db.DB
+	exact5 *db.OnDemand
+	ws     *rewrite.Workspace
 }
 
 // Pass is one named transformation step of a pipeline. The zero value is
@@ -70,8 +68,8 @@ func (p Pass) Name() string { return p.name }
 
 // RewritePass wraps one functional-hashing configuration. The pass name
 // is rewrite.VariantName(opt) ("TF", "TF5", "TFx", …); opt.Exact5,
-// opt.Ctx, opt.Workspace and opt.Workers are overridden by the
-// pipeline's environment.
+// opt.Ctx and opt.Workspace are overridden by the pipeline's
+// environment.
 func RewritePass(opt rewrite.Options) Pass {
 	name := rewrite.VariantName(opt)
 	return Pass{
@@ -83,7 +81,6 @@ func RewritePass(opt rewrite.Options) Pass {
 			o.Exact5 = env.exact5
 			o.Ctx = env.ctx
 			o.Workspace = env.ws
-			o.Workers = env.workers
 			res, st := rewrite.Run(m, env.d, o)
 			return res, PassStats{
 				Name:       st.Variant,

@@ -97,33 +97,6 @@ func TestRunBatch5CacheFileWarmStart(t *testing.T) {
 	}
 }
 
-// TestPipeline5WorkersDeterministic: the K = 5 preset with intra-graph
-// workers is bit-identical at any worker count.
-func TestPipeline5WorkersDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	m := randomMIG(rng, 10, 300, 3)
-	shared := db.NewOnDemand(synth5Budget)
-	var want string
-	for _, workers := range []int{1, 3, 6} {
-		p, err := Preset("size5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Exact5 = shared
-		p.Workers = workers
-		got, _, err := p.Run(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := renderGraph(t, got)
-		if want == "" {
-			want = s
-		} else if s != want {
-			t.Fatalf("%d workers produced a different graph", workers)
-		}
-	}
-}
-
 func renderGraph(t *testing.T, m *mig.MIG) string {
 	t.Helper()
 	var b strings.Builder

@@ -255,8 +255,7 @@ func TestRunBatchCancellation(t *testing.T) {
 }
 
 // TestRunBatchHammersSharedState is the -race stress test: more batch
-// workers than CPUs, each job's run fanning out its own intra-graph
-// workers, all over one shared database and 5-input store.
+// workers than CPUs, all over one shared database and 5-input store.
 func TestRunBatchHammersSharedState(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
@@ -266,7 +265,6 @@ func TestRunBatchHammersSharedState(t *testing.T) {
 	}
 	p, _ := Preset("quick")
 	p.DB = d
-	p.Workers = 2
 	if _, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: runtime.NumCPU() + 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -333,45 +331,6 @@ func TestEmptyPipeline(t *testing.T) {
 	p := &Pipeline{Name: "empty"}
 	if _, _, err := p.Run(mig.New(2)); err == nil {
 		t.Fatal("empty pipeline ran")
-	}
-}
-
-// TestPipelineIntraGraphWorkersDeterministic pins the contract of
-// Pipeline.Workers: the optimized graph of a full multi-pass script is
-// bit-identical for every intra-graph worker count.
-func TestPipelineIntraGraphWorkersDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	m := randomMIG(rng, 12, 400, 4)
-	render := func(g *mig.MIG) string {
-		var buf bytes.Buffer
-		if err := g.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	var refText string
-	var refStats PipelineStats
-	for i, workers := range []int{0, 2, 8} {
-		p, err := Preset("resyn")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Workers = workers
-		best, st, err := p.Run(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			refText, refStats = render(best), st
-			continue
-		}
-		if got := render(best); got != refText {
-			t.Errorf("workers=%d produced a different graph than serial", workers)
-		}
-		if st.SizeAfter != refStats.SizeAfter || st.DepthAfter != refStats.DepthAfter {
-			t.Errorf("workers=%d: size/depth %d/%d, want %d/%d",
-				workers, st.SizeAfter, st.DepthAfter, refStats.SizeAfter, refStats.DepthAfter)
-		}
 	}
 }
 

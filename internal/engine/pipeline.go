@@ -42,13 +42,12 @@ type Pipeline struct {
 	// synthesized once per process — and, with BatchOptions.CacheFile,
 	// once per snapshot file. K = 4 scripts never touch it.
 	Exact5 *db.OnDemand
-	// Workers bounds intra-graph parallelism of the rewrite passes: best
-	// cuts of independent fanout-free regions are evaluated concurrently
-	// and committed serially, so the optimized graphs are bit-identical
-	// for every value (only the lookup hit/miss split can shift, since
-	// each worker memoizes its own lookups). 0 or 1 evaluates serially.
-	// This is how a single large MIG saturates the machine without the
-	// logic duplication of SplitOutputs.
+	// Workers is ignored: every rewrite pass evaluates serially, and
+	// RunBatch's job pool (BatchOptions.Workers) is the engine's only
+	// parallelism.
+	//
+	// Deprecated: kept only so existing assignments still compile; it
+	// will be removed.
 	Workers int
 	// PassCheck, when non-nil, is invoked synchronously after every
 	// executed pass with the pass name, the 1-based iteration, and the
@@ -249,7 +248,7 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 	}()
 	env := passEnv{
 		ctx: ctx, d: d, exact5: exact5,
-		ws: rewrite.NewWorkspace(), workers: p.Workers,
+		ws: rewrite.NewWorkspace(),
 	}
 
 	maxIter := p.MaxIterations

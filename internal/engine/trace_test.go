@@ -12,62 +12,55 @@ import (
 
 // TestProgressAndTracerAgree pins the contract between the two
 // observability channels: the Progress callback and the "pass" spans must
-// report the same pass count and the same (name, iteration) ordering,
-// also when the rewrite passes run multi-worker.
+// report the same pass count and the same (name, iteration) ordering.
 func TestProgressAndTracerAgree(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		d := loadDB(t)
-		m := randomMIG(rand.New(rand.NewSource(7)), 8, 300, 4)
+	d := loadDB(t)
+	m := randomMIG(rand.New(rand.NewSource(7)), 8, 300, 4)
 
-		type rec struct {
-			name string
-			iter int
-		}
-		var fromProgress []rec
-		p := &Pipeline{
-			Name:    "trace-test",
-			Passes:  []Pass{RewritePass(rewrite.TF), RewritePass(rewrite.BF)},
-			DB:      d,
-			Workers: workers,
-			Progress: func(ps PassStats) {
-				fromProgress = append(fromProgress, rec{ps.Name, ps.Iteration})
-			},
-		}
-		tr := obs.New(obs.Options{Retain: true})
-		ctx := obs.ContextWithTracer(context.Background(), tr)
-		_, st, err := p.RunContext(ctx, m)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+	type rec struct {
+		name string
+		iter int
+	}
+	var fromProgress []rec
+	p := &Pipeline{
+		Name:   "trace-test",
+		Passes: []Pass{RewritePass(rewrite.TF), RewritePass(rewrite.BF)},
+		DB:     d,
+		Progress: func(ps PassStats) {
+			fromProgress = append(fromProgress, rec{ps.Name, ps.Iteration})
+		},
+	}
+	tr := obs.New(obs.Options{Retain: true})
+	ctx := obs.ContextWithTracer(context.Background(), tr)
+	_, st, err := p.RunContext(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		var fromSpans []rec
-		for _, s := range tr.Spans() {
-			if s.Name() != "pass" {
-				continue
-			}
-			var it int
-			for _, a := range s.Attrs() {
-				if a.Key == "iteration" {
-					it = int(a.Int)
-				}
-			}
-			fromSpans = append(fromSpans, rec{s.Attr("name"), it})
+	var fromSpans []rec
+	for _, s := range tr.Spans() {
+		if s.Name() != "pass" {
+			continue
 		}
-		if len(fromProgress) != len(st.Passes) {
-			t.Fatalf("workers=%d: Progress saw %d passes, stats have %d",
-				workers, len(fromProgress), len(st.Passes))
-		}
-		if len(fromSpans) != len(fromProgress) {
-			t.Fatalf("workers=%d: spans saw %d passes, Progress saw %d",
-				workers, len(fromSpans), len(fromProgress))
-		}
-		// Passes run serially within a pipeline, and pass spans end before
-		// Progress fires, so both channels share one ordering.
-		for i := range fromSpans {
-			if fromSpans[i] != fromProgress[i] {
-				t.Fatalf("workers=%d: pass %d: span %v vs progress %v",
-					workers, i, fromSpans[i], fromProgress[i])
+		var it int
+		for _, a := range s.Attrs() {
+			if a.Key == "iteration" {
+				it = int(a.Int)
 			}
+		}
+		fromSpans = append(fromSpans, rec{s.Attr("name"), it})
+	}
+	if len(fromProgress) != len(st.Passes) {
+		t.Fatalf("Progress saw %d passes, stats have %d", len(fromProgress), len(st.Passes))
+	}
+	if len(fromSpans) != len(fromProgress) {
+		t.Fatalf("spans saw %d passes, Progress saw %d", len(fromSpans), len(fromProgress))
+	}
+	// Passes run serially within a pipeline, and pass spans end before
+	// Progress fires, so both channels share one ordering.
+	for i := range fromSpans {
+		if fromSpans[i] != fromProgress[i] {
+			t.Fatalf("pass %d: span %v vs progress %v", i, fromSpans[i], fromProgress[i])
 		}
 	}
 }
@@ -115,39 +108,36 @@ func TestPanickingProgressEndsSpan(t *testing.T) {
 
 // TestTracerDoesNotPerturbResults pins the "spans observe, never steer"
 // guarantee: the optimized graph is bit-identical with and without a
-// tracer installed, at multiple worker counts.
+// tracer installed.
 func TestTracerDoesNotPerturbResults(t *testing.T) {
 	d := loadDB(t)
-	for _, workers := range []int{1, 4} {
-		m := randomMIG(rand.New(rand.NewSource(11)), 6, 300, 4)
-		p := &Pipeline{
-			Name:    "perturb-test",
-			Passes:  []Pass{RewritePass(rewrite.TF), RewritePass(rewrite.BF)},
-			DB:      d,
-			Workers: workers,
+	m := randomMIG(rand.New(rand.NewSource(11)), 6, 300, 4)
+	p := &Pipeline{
+		Name:   "perturb-test",
+		Passes: []Pass{RewritePass(rewrite.TF), RewritePass(rewrite.BF)},
+		DB:     d,
+	}
+	plain, stPlain, err := p.RunContext(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New(obs.Options{Retain: true})
+	traced, stTraced, err := p.RunContext(obs.ContextWithTracer(context.Background(), tr), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Size() != traced.Size() || plain.Depth() != traced.Depth() {
+		t.Fatalf("tracer changed result: size %d→%d, depth %d→%d",
+			plain.Size(), traced.Size(), plain.Depth(), traced.Depth())
+	}
+	ps, ts := plain.Simulate(), traced.Simulate()
+	for i := range ps {
+		if ps[i] != ts[i] {
+			t.Fatalf("tracer changed function of output %d", i)
 		}
-		plain, stPlain, err := p.RunContext(context.Background(), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := obs.New(obs.Options{Retain: true})
-		traced, stTraced, err := p.RunContext(obs.ContextWithTracer(context.Background(), tr), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Size() != traced.Size() || plain.Depth() != traced.Depth() {
-			t.Fatalf("workers=%d: tracer changed result: size %d→%d, depth %d→%d",
-				workers, plain.Size(), traced.Size(), plain.Depth(), traced.Depth())
-		}
-		ps, ts := plain.Simulate(), traced.Simulate()
-		for i := range ps {
-			if ps[i] != ts[i] {
-				t.Fatalf("workers=%d: tracer changed function of output %d", workers, i)
-			}
-		}
-		if stPlain.Iterations != stTraced.Iterations || len(stPlain.Passes) != len(stTraced.Passes) {
-			t.Fatalf("workers=%d: tracer changed convergence", workers)
-		}
+	}
+	if stPlain.Iterations != stTraced.Iterations || len(stPlain.Passes) != len(stTraced.Passes) {
+		t.Fatal("tracer changed convergence")
 	}
 }
 

@@ -25,7 +25,7 @@
 // "Failure modes & degraded states" section.
 //
 // Concurrency: all package functions are safe for concurrent use; Hit is
-// called from rewrite workers, engine workers, HTTP handlers and the
-// snapshot loop at once. Enable/Disable/Reset serialize behind one
+// called from engine workers, HTTP handlers and the snapshot loop at
+// once. Enable/Disable/Reset serialize behind one
 // mutex and are meant for test setup and process start, not hot paths.
 package fault

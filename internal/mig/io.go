@@ -44,9 +44,16 @@ func ReadText(r io.Reader) (*MIG, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "mig %d %d %d", &numPI, &numGates, &numPO); err != nil {
 		return nil, fmt.Errorf("mig: bad header %q: %v", sc.Text(), err)
 	}
+	// Node IDs run up to numPI+numGates, and a Lit holds 2*id+1 in 32 bits.
+	const maxID = 1<<31 - 1
+	if numPI < 0 || numGates < 0 || numPO < 0 || numPI > maxID || numGates > maxID-numPI {
+		return nil, fmt.Errorf("mig: bad header %q: counts must be non-negative, with at most %d inputs and gates together", sc.Text(), maxID)
+	}
 	m := New(numPI)
-	// old literal -> new literal; terminals map to themselves.
-	lmap := make([]Lit, 1+numPI, 1+numPI+numGates)
+	// old literal -> new literal; terminals map to themselves. It grows
+	// per gate line rather than from the header's count, so a short input
+	// claiming many gates fails as truncated without allocating for them.
+	lmap := make([]Lit, 1+numPI)
 	for i := range lmap {
 		lmap[i] = MakeLit(ID(i), false)
 	}

@@ -3,6 +3,7 @@ package mig
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -62,10 +63,25 @@ func TestReadTextErrors(t *testing.T) {
 		"forward reference": "mig 2 1 1\n0 2 12\nout 6\n",
 		"missing outputs":   "mig 2 1 2\n0 2 4\nout 6\n",
 		"bad output":        "mig 2 1 1\n0 2 4\nfoo 6\n",
+		"negative inputs":   "mig -2 0 0\n",
+		"negative gates":    "mig 1 -5 0\n",
+		"negative outputs":  "mig 1 0 -1\n",
+		"inputs past a Lit": "mig 2147483648 0 0\n",
+		"gates past a Lit":  "mig 1 2147483647 0\n",
+		"count overflow":    "mig 1 9223372036854775807 0\n",
+		"claimed gates":     "mig 1 10000000 0\n",
 	}
 	for name, in := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+		runtime.ReadMemStats(&after)
+		// Beyond the scanner's 1 MiB line buffer, a header is no reason
+		// to allocate: only parsed lines are.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Errorf("%s: allocated %d bytes before failing", name, grew)
 		}
 	}
 }

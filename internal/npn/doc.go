@@ -32,8 +32,8 @@
 //
 // Role in the functional-hashing flow: Canonize sits on the hot path of
 // every rewriting pass — each enumerated cut's truth table is
-// canonicalized here before the database lookup. Each rewrite worker's
-// db.Cache memoizes the (Canonize, Lookup) pair so repeated cut
+// canonicalized here before the database lookup. Each rewrite
+// workspace's db.Cache memoizes the (Canonize, Lookup) pair so repeated cut
 // functions skip this package entirely; Canonize5 keys the on-demand
 // 5-input store (db.OnDemand) the same way.
 //

@@ -34,7 +34,6 @@ type candSpan struct{ start, n int32 }
 // a pass allocates no candidate storage.
 func (r *rewriter) runBottomUp() {
 	n := r.m.NumNodes()
-	st := &r.ws.eval[0]
 	if cap(r.ws.spans) < n {
 		r.ws.spans = make([]candSpan, n)
 	}
@@ -64,7 +63,7 @@ func (r *rewriter) runBottomUp() {
 		})
 
 		// Cut replacements (Algorithm 2 lines 5–10).
-		r.eachCut(v, st, func(rep replacement, _ []mig.ID) {
+		r.eachCut(v, func(rep replacement, _ []mig.ID) {
 			r.eachCombo(rep.leaves, func(sel []candidate) {
 				var leafSigs [5]mig.Lit
 				size := int32(rep.entry.Size())

@@ -22,10 +22,7 @@ import (
 // one commit walk (runTopDown) builds both the twin and the selected
 // cover; the pass returns whichever scores better under the objective —
 // so a choice-aware pass is never worse than its greedy counterpart on
-// any input. Both the evaluation (a pure per-node function fanned out
-// over fanout-free regions) and the extraction (deterministic passes
-// over the finished graph) are independent of the worker count, keeping
-// the output bit-identical at any parallelism.
+// any input.
 
 // choiceRec is one recorded (cut, candidate) pair of a node: implement
 // the node by its replacement. cost is the candidate's effective gate
@@ -58,8 +55,7 @@ func (w *Workspace) prepareChoices(n int) {
 // already exists as a node outside the replaced cone will be merged by
 // structural hashing and costs nothing; only genuinely new gates — and
 // every gate above the first unknown one, whose operands cannot be
-// resolved — pay one gate each. The probe is read-only, so the parallel
-// evaluation phase can share the graph.
+// resolved — pay one gate each.
 func (r *rewriter) effectiveCost(cand *db.Entry, tr transformRef, leaves []mig.ID, cone []mig.ID) int32 {
 	k := cand.K()
 	var sig [64]mig.Lit
@@ -256,7 +252,12 @@ func (r *rewriter) buildGraph() *extract.Graph {
 	for _, o := range m.Outputs() {
 		g.Outputs = append(g.Outputs, o.ID())
 	}
-	g.FFRRoot = r.roots
+	g.FFRRoot = r.ffr
+	if g.FFRRoot == nil {
+		// The whole-graph variants (T, TD) rewrite without regions, but
+		// the extractor's exact tree-DP refinement still works per region.
+		g.FFRRoot = m.FFRRoots()
+	}
 	return g
 }
 
@@ -264,8 +265,7 @@ func (r *rewriter) buildGraph() *extract.Graph {
 // record that instantiates the same entry over the same leaf literals
 // (mirroring instantiate, entry input j reads leaves[tr.perm[j]] with
 // flip bit j; positions past the cut read constant zero). IDs are
-// assigned in recording order by the serial graph build, so they are
-// independent of the worker count.
+// assigned in recording order by the graph build.
 func (t *sigTable) sigOf(rec *choiceRec) int32 {
 	key := sigKey{entry: rec.entry}
 	for j := 0; j < rec.entry.K(); j++ {
@@ -283,12 +283,12 @@ func (t *sigTable) sigOf(rec *choiceRec) int32 {
 // the menu), commit the greedy twin, select a cover of the menus, commit
 // the selection, and keep whichever result scores better under the
 // extraction objective.
-func (r *rewriter) runChoice(workers int) {
+func (r *rewriter) runChoice() {
 	// The menus need the database's alternative candidates; deriving
 	// them is Once-guarded and shared process-wide.
 	r.d.EnsureAlts()
 	r.ws.prepareChoices(r.m.NumNodes())
-	r.evaluateAll(workers)
+	r.evaluate()
 
 	// Greedy twin: every live gate is decided, so the commit consumes the
 	// memo without evaluating anything.
@@ -329,4 +329,23 @@ func (r *rewriter) runChoice(workers int) {
 	xspan.SetInt("covered", int64(sel.Stats.Covered))
 	xspan.SetInt("saved_gates", int64(r.extractSaved))
 	xspan.End()
+}
+
+// evaluate runs bestCut for every live gate in ascending ID order inside
+// the rewrite.evaluate span, so the commit walks only consume memoized
+// decisions and the extraction reads the recorded menus. r.opt.Ctx is
+// swapped for the span's context so on-demand ladders parent under it.
+func (r *rewriter) evaluate() {
+	base := r.opt.Ctx
+	ctx, span := obs.Start(base, "rewrite.evaluate")
+	r.opt.Ctx = ctx
+	defer func() {
+		span.End()
+		r.opt.Ctx = base
+	}()
+	for id := r.m.NumPIs() + 1; id < r.m.NumNodes(); id++ {
+		if r.fo[id] > 0 { // dead gates are never visited by the commit walks
+			r.bestCut(mig.ID(id))
+		}
+	}
 }

@@ -1,24 +1,12 @@
 package rewrite
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"mighash/internal/extract"
-	"mighash/internal/mig"
 	"mighash/internal/tt"
 )
-
-// renderMIG serializes a graph for bit-identity comparison.
-func renderMIG(t *testing.T, g *mig.MIG) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := g.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
 
 // choiceVariants pairs every choice-aware configuration with its greedy
 // twin.
@@ -58,32 +46,6 @@ func TestChoicePreservesFunction(t *testing.T) {
 			}
 			if v.x.ExtractObjective != 0 && st.DepthAfter > gst.DepthAfter {
 				t.Errorf("round %d %s: depth %d worse than greedy twin's %d", round, v.name, st.DepthAfter, gst.DepthAfter)
-			}
-		}
-	}
-}
-
-// TestChoiceDeterministicAcrossWorkers: the extracted graph is
-// bit-identical at any worker count — evaluation is a pure per-node
-// function and both commits are serial.
-func TestChoiceDeterministicAcrossWorkers(t *testing.T) {
-	d := loadDB(t)
-	rng := rand.New(rand.NewSource(23))
-	for round := 0; round < 6; round++ {
-		m := randomMIG(rng, 8+rng.Intn(4), 120+rng.Intn(120), 3)
-		opt := variant("TFx")
-		opt.Workers = 1
-		base, bst := Run(m, d, opt)
-		baseText := renderMIG(t, base)
-		for _, workers := range []int{2, 4} {
-			opt.Workers = workers
-			got, st := Run(m, d, opt)
-			if renderMIG(t, got) != baseText {
-				t.Fatalf("round %d: %d workers produced a different graph than 1 worker", round, workers)
-			}
-			if st.Replacements != bst.Replacements || st.SizeAfter != bst.SizeAfter {
-				t.Fatalf("round %d: %d workers: %d replacements size %d, 1 worker: %d size %d",
-					round, workers, st.Replacements, st.SizeAfter, bst.Replacements, bst.SizeAfter)
 			}
 		}
 	}

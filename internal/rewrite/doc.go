@@ -25,14 +25,17 @@
 // the walk twice — the greedy twin and the selected cover — and keeps
 // the better result under extract.Objective.Better.
 //
+// A greedy pass evaluates each node on first visit from the commit walk;
+// a choice-aware pass evaluates every live gate first, in ascending ID
+// order, because the extraction needs every menu before it can select.
+// Either way a pass is one serial loop, so its graph and its lookup
+// statistics are deterministic.
+//
 // The hot path — cut enumeration, cone analysis and NPN lookup — runs
 // allocation-free in the steady state: cuts carry their truth tables (so
 // no cone is ever re-simulated), cone traversals use epoch-stamped scratch
-// arrays, each evaluation worker memoizes its 4-input lookups in a
-// private db.Cache, and all of it lives in a reusable Workspace. The top-down
-// variants additionally evaluate best cuts for independent fanout-free
-// regions in parallel (Options.Workers) and commit them serially in
-// topological order, so results are bit-identical for any worker count.
+// arrays, 4-input lookups are memoized in a db.Cache, and all of it lives
+// in a reusable Workspace.
 //
 // Role in the functional-hashing flow: this package is the flow. It
 // consumes cuts from internal/cut, canonicalization + database lookups
@@ -42,17 +45,13 @@
 // db.OnDemand instead: the first contact with a class synthesizes its
 // minimum MIG (blocking just that lookup), Options.Ctx cancels in-flight
 // ladders on request deadlines, and the budget is conflict-based so the
-// learned database — hence the output graph — stays bit-identical at any
-// worker count. The engine (internal/engine) composes Run calls into
+// learned database — hence the output graph — stays bit-identical however
+// concurrent runs sharing the store interleave. The engine (internal/engine) composes Run calls into
 // scripts; the HTTP service exposes those scripts over the network.
 //
-// Concurrency contract: Run never modifies the input graph, so concurrent
-// Run calls on the same input are safe as long as each has a private
-// Workspace (Options.Workspace; one is allocated when nil). The database
-// is immutable, so it may be shared freely across runs. Inside one run,
-// Options.Workers > 1 parallelizes the evaluation phase over fanout-free
-// regions — each worker owns an evalState slot of the Workspace, with its
-// own lookup memo, and writes only the decision memos of nodes it
-// claimed — while the commit phase stays serial, which is what makes the
-// output deterministic.
+// Concurrency contract: Run never modifies the input graph and starts no
+// goroutines, so concurrent Run calls on the same input are safe as long
+// as each has a private Workspace (Options.Workspace; one is allocated
+// when nil). The database is immutable, so it may be shared freely across
+// runs, and so may the concurrency-safe 5-input store (Options.Exact5).
 package rewrite

@@ -7,10 +7,9 @@ package rewrite
 //     per-cut cone re-simulation they replaced
 //   - the steady-state best-cut evaluation loop, which must allocate ~0 B/op
 //   - structural hashing through the open-addressing strash
-//   - whole passes, serial vs FFR-parallel, and one bottom-up pass
+//   - one whole TF pass and one bottom-up pass
 //
-// plus the determinism test for parallel rewriting: any worker count must
-// produce a bit-identical MIG (checked under -race in CI).
+// plus the determinism and workspace-reuse tests of whole passes.
 
 import (
 	"bytes"
@@ -45,7 +44,7 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 		ws = NewWorkspace()
 	}
 	d := loadDB(tb)
-	ws.prepare(d, m.NumNodes(), 1)
+	ws.prepare(d, m.NumNodes())
 	r := &rewriter{
 		m:         m,
 		d:         d,
@@ -120,16 +119,15 @@ func BenchmarkRewriteHotPathCutTT(b *testing.B) {
 func BenchmarkRewriteHotPathBestCutLoop(b *testing.B) {
 	m := benchGraph(b)
 	r := newBenchRewriter(b, m, TF)
-	st := &r.ws.eval[0]
 	// Warm the lookup memo so iterations measure the steady state.
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-		r.bestCut(mig.ID(id), st)
+		r.bestCut(mig.ID(id))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-			r.bestCut(mig.ID(id), st)
+			r.bestCut(mig.ID(id))
 		}
 	}
 }
@@ -159,15 +157,14 @@ func BenchmarkRewriteHotPathStrash(b *testing.B) {
 	}
 }
 
-// BenchmarkRewriteHotPathPassSerial and ...PassParallel measure one full
-// TF pass end to end with a reused workspace, serial vs FFR-parallel;
-// ...PassBF measures one bottom-up pass the same way.
-func benchPass(b *testing.B, opt Options, workers int) {
+// BenchmarkRewriteHotPathPassSerial measures one full TF pass end to end
+// with a reused workspace; ...PassBF measures one bottom-up pass the same
+// way.
+func benchPass(b *testing.B, opt Options) {
 	m := benchGraph(b)
 	d := loadDB(b)
 	opt.Workspace = NewWorkspace()
-	opt.Workers = workers
-	Run(m, d, opt) // warm workspace and lookup memos
+	Run(m, d, opt) // warm workspace and lookup memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -175,9 +172,8 @@ func benchPass(b *testing.B, opt Options, workers int) {
 	}
 }
 
-func BenchmarkRewriteHotPathPassSerial(b *testing.B)   { benchPass(b, TF, 1) }
-func BenchmarkRewriteHotPathPassParallel(b *testing.B) { benchPass(b, TF, 8) }
-func BenchmarkRewriteHotPathPassBF(b *testing.B)       { benchPass(b, BF, 1) }
+func BenchmarkRewriteHotPathPassSerial(b *testing.B) { benchPass(b, TF) }
+func BenchmarkRewriteHotPathPassBF(b *testing.B)     { benchPass(b, BF) }
 
 // TestBestCutLoopSteadyStateAllocs pins the acceptance criterion in a
 // test: the steady-state cut-evaluation loop allocates nothing.
@@ -185,13 +181,12 @@ func TestBestCutLoopSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := randomMIG(rng, 10, 300, 3)
 	r := newBenchRewriter(t, m, TF)
-	st := &r.ws.eval[0]
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-		r.bestCut(mig.ID(id), st) // warm lookup memo and scratch
+		r.bestCut(mig.ID(id)) // warm lookup memo and scratch
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-			r.bestCut(mig.ID(id), st)
+			r.bestCut(mig.ID(id))
 		}
 	})
 	if allocs > 0 {
@@ -209,14 +204,12 @@ func writeText(tb testing.TB, m *mig.MIG) string {
 	return buf.String()
 }
 
-// TestParallelRewriteDeterministic is the contract of the parallel
-// rewriter: for every top-down variant, every worker count must produce a
-// bit-identical optimized MIG (same node IDs, same fanins, same outputs)
-// with the same replacement count, and that MIG must be equivalent to the
-// input. The graphs are built from redundant cones, so every variant
-// commits replacements in many fanout-free regions. CI runs this under
-// -race, which also proves the evaluation phase is race-free.
-func TestParallelRewriteDeterministic(t *testing.T) {
+// TestRewriteDeterministic: for every top-down variant, a pass over
+// redundant cones commits replacements in many fanout-free regions,
+// preserves the function, and a second run with a fresh workspace gives
+// the same graph and the same statistics, lookup hits and misses
+// included.
+func TestRewriteDeterministic(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(43))
 	graphs := []*mig.MIG{
@@ -228,46 +221,32 @@ func TestParallelRewriteDeterministic(t *testing.T) {
 			name string
 			opt  Options
 		}{{"TF", TF}, {"T", T}, {"TFD", TFD}, {"TD", TD}} {
-			var refText string
-			var ref Stats
-			for _, workers := range []int{1, 2, 8} {
-				opt := v.opt
-				opt.Workspace = NewWorkspace()
-				opt.Workers = workers
-				got, st := Run(m, d, opt)
-				if workers == 1 {
-					if st.Replacements == 0 {
-						t.Fatalf("graph %d %s: no replacements, so worker counts cannot disagree",
-							gi, v.name)
-					}
-					if eq, ce, err := mig.Equivalent(m, got, 0); err != nil {
-						t.Fatal(err)
-					} else if !eq {
-						t.Fatalf("graph %d %s: rewrite changed the function, counterexample %v",
-							gi, v.name, ce)
-					}
-					ref, refText = st, writeText(t, got)
-					continue
-				}
-				if text := writeText(t, got); text != refText {
-					t.Errorf("graph %d %s: %d workers produced a different MIG than 1 worker",
-						gi, v.name, workers)
-				}
-				if st.Replacements != ref.Replacements || st.SizeAfter != ref.SizeAfter || st.DepthAfter != ref.DepthAfter {
-					t.Errorf("graph %d %s workers=%d: replacements/size/depth %d/%d/%d, want %d/%d/%d",
-						gi, v.name, workers, st.Replacements, st.SizeAfter, st.DepthAfter,
-						ref.Replacements, ref.SizeAfter, ref.DepthAfter)
-				}
+			got, st := Run(m, d, v.opt)
+			if st.Replacements == 0 {
+				t.Fatalf("graph %d %s: no replacements", gi, v.name)
+			}
+			if eq, ce, err := mig.Equivalent(m, got, 0); err != nil {
+				t.Fatal(err)
+			} else if !eq {
+				t.Fatalf("graph %d %s: rewrite changed the function, counterexample %v",
+					gi, v.name, ce)
+			}
+			again, ast := Run(m, d, v.opt)
+			if writeText(t, again) != writeText(t, got) {
+				t.Errorf("graph %d %s: a second run produced a different MIG", gi, v.name)
+			}
+			st.Elapsed, ast.Elapsed = 0, 0
+			if ast != st {
+				t.Errorf("graph %d %s: a second run reported %+v, first %+v", gi, v.name, ast, st)
 			}
 		}
 	}
 }
 
-// TestParallelRewriteSharedWorkspaceSequence reuses one workspace, with
-// its workers' lookup memos, across a mixed sequence of serial and
-// parallel passes, mimicking a pipeline run, and checks every result
-// against a fresh-state run.
-func TestParallelRewriteSharedWorkspaceSequence(t *testing.T) {
+// TestRewriteSharedWorkspaceSequence reuses one workspace, with its
+// lookup memo, across a sequence of passes, mimicking a pipeline run,
+// and checks every result against a fresh-state run.
+func TestRewriteSharedWorkspaceSequence(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
 	ws := NewWorkspace()
@@ -275,7 +254,6 @@ func TestParallelRewriteSharedWorkspaceSequence(t *testing.T) {
 		m := randomMIG(rng, 8+rng.Intn(6), 100+rng.Intn(200), 2)
 		opt := TF
 		opt.Workspace = ws
-		opt.Workers = 1 + rng.Intn(4)
 		got, _ := Run(m, d, opt)
 		want, _ := Run(m, d, TF)
 		if writeText(t, got) != writeText(t, want) {

@@ -56,20 +56,11 @@ type Options struct {
 	// running ladders. nil means context.Background().
 	Ctx context.Context
 
-	// Workers bounds intra-graph parallelism of the top-down variants:
-	// best-cut evaluation is fanned out over independent fanout-free
-	// regions on a worker pool, then committed serially in topological
-	// order, so the optimized graph is bit-identical for every worker
-	// count. 0 or 1 evaluates serially; bottom-up passes ignore it. Each
-	// worker memoizes its own 4-input lookups, so above one worker the
-	// per-pass hit/miss split depends on which worker claims which region;
-	// the graph never does.
-	Workers int
 	// Workspace, when non-nil, supplies the reusable scratch state (cut
-	// arenas, cone-analysis stamps, decision memos, the workers' lookup
-	// memos) so repeated passes stop allocating and keep their memoized
-	// lookups. A nil Workspace makes Run allocate a private one. A
-	// Workspace must not be used by two concurrent Runs.
+	// arenas, cone-analysis stamps, decision memos, the lookup memo) so
+	// repeated passes stop allocating and keep their memoized lookups. A
+	// nil Workspace makes Run allocate a private one. A Workspace must not
+	// be used by two concurrent Runs.
 	Workspace *Workspace
 
 	// MaxCuts caps the per-node cut sets (default 24).
@@ -210,7 +201,7 @@ type Stats struct {
 	DepthBefore, DepthAfter int
 	Replacements            int // cuts replaced by database MIGs
 	// 4-input lookups of this pass answered by, and added to, the
-	// workers' memos (see Workspace).
+	// workspace's lookup memo (see Workspace).
 	CacheHits, CacheMisses int
 	// Choice-aware extraction (zero unless Options.Extract ran): the
 	// (cut, candidate) pairs recorded into the choice graph, and the
@@ -222,7 +213,7 @@ type Stats struct {
 }
 
 // CacheHitRate returns the fraction of this pass's 4-input lookups
-// answered by the workers' memos, or 0 when the pass made none.
+// answered by the lookup memo, or 0 when the pass made none.
 func (s Stats) CacheHitRate() float64 {
 	if s.CacheHits+s.CacheMisses == 0 {
 		return 0
@@ -243,24 +234,22 @@ func (s Stats) String() string {
 }
 
 // Workspace owns every reusable buffer of a rewriting pass: the cut-set
-// arena, the per-worker cone-analysis scratch and lookup memo, the
+// arena, the cone-analysis scratch, the 4-input lookup memo, the
 // best-cut decision memo and the commit-phase buffers. Reusing one
 // Workspace across passes (the engine does this per pipeline run) makes
-// the steady-state hot path allocation-free, and each worker's memo then
-// answers the 4-input lookups of every pass of the run. A Workspace must
-// not be shared by concurrent Runs; inside one Run, the parallel
-// evaluation phase hands each worker its own evalState.
+// the steady-state hot path allocation-free, and the memo then answers
+// the 4-input lookups of every pass of the run. A Workspace must not be
+// shared by concurrent Runs.
 type Workspace struct {
 	cuts    cut.Workspace
-	d       *db.DB         // the database the eval memos were filled through
-	eval    []evalState    // one per worker; eval[0] serves the serial paths
+	cone    *mig.Workspace // cone-analysis scratch
+	memo    *db.Cache      // 4-input lookups, filled through d
+	d       *db.DB         // the database memo was filled through
 	best    []candidateCut // per-node best replacement (entry == nil: none)
 	decided []bool         // per-node: best[v] is valid
 	res     []mig.Lit      // commit phase: node implementations
 	known   []bool         // commit phase: res[v] is valid
 	stack   []mig.ID       // commit phase DFS stack
-	perm    []mig.ID       // live gates grouped by FFR for the worker pool
-	starts  []int32        // region boundaries into perm
 	sig     []mig.Lit      // instantiate scratch
 	sel     []candidate    // bottom-up combination scratch
 	visit   []candidate    // bottom-up: the list of the node being visited
@@ -274,19 +263,10 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// evalState is the per-worker mutable state of best-cut evaluation: the
-// cone-analysis scratch and the worker's private memo of 4-input
-// lookups, with this pass's hits and misses in it.
-type evalState struct {
-	cone         *mig.Workspace
-	memo         *db.Cache
-	hits, misses int
-}
-
-// prepare sizes the per-node arrays for an n-node graph, resets the
-// decision memo and guarantees one evalState per worker. The lookup
-// memos hold entries of d, so they start over when d changes.
-func (w *Workspace) prepare(d *db.DB, n, workers int) {
+// prepare sizes the per-node arrays for an n-node graph and resets the
+// decision memo. The lookup memo holds entries of d, so it starts over
+// when d changes.
+func (w *Workspace) prepare(d *db.DB, n int) {
 	if cap(w.best) < n {
 		w.best = make([]candidateCut, n)
 		w.decided = make([]bool, n)
@@ -299,17 +279,11 @@ func (w *Workspace) prepare(d *db.DB, n, workers int) {
 	w.known = w.known[:n]
 	clear(w.best)
 	clear(w.decided)
-	if w.d != d {
-		w.d = d
-		for i := range w.eval {
-			w.eval[i].memo = db.NewCache()
-		}
+	if w.cone == nil {
+		w.cone = mig.NewWorkspace()
 	}
-	for len(w.eval) < workers {
-		w.eval = append(w.eval, evalState{cone: mig.NewWorkspace(), memo: db.NewCache()})
-	}
-	for i := range w.eval {
-		w.eval[i].hits, w.eval[i].misses = 0, 0
+	if w.memo == nil || w.d != d {
+		w.d, w.memo = d, db.NewCache()
 	}
 }
 
@@ -326,14 +300,10 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	workers := opt.Workers
-	if workers < 1 || opt.BottomUp {
-		workers = 1
-	}
 	if opt.K == 5 && opt.Exact5 == nil {
 		opt.Exact5 = db.NewOnDemand(db.OnDemandOptions{})
 	}
-	ws.prepare(d, m.NumNodes(), workers)
+	ws.prepare(d, m.NumNodes())
 	r := &rewriter{
 		m:         m,
 		d:         d,
@@ -355,12 +325,9 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		r.runBottomUp()
 		cspan.End()
 	} else if opt.Extract {
-		r.runChoice(workers)
+		r.runChoice()
 	} else {
-		// A serial pass evaluates lazily from the commit walk.
-		if workers > 1 {
-			r.evaluateAll(workers)
-		}
+		// A greedy pass evaluates lazily from the commit walk.
 		r.commitGreedy()
 	}
 	res := r.done
@@ -379,26 +346,21 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	}
 	st := Stats{
 		Variant:      VariantName(opt),
-		SizeBefore:   m.SizeWS(ws.eval[0].cone),
+		SizeBefore:   m.SizeWS(ws.cone),
 		SizeAfter:    res.Size(),
 		DepthBefore:  depthBefore,
 		DepthAfter:   res.Depth(),
 		Replacements: r.replacements,
+		CacheHits:    r.hits,
+		CacheMisses:  r.misses,
 		Choices:      r.choiceCount,
 		ExtractSaved: r.extractSaved,
-	}
-	for i := range ws.eval {
-		st.CacheHits += ws.eval[i].hits
-		st.CacheMisses += ws.eval[i].misses
 	}
 	st.Elapsed = time.Since(start)
 	return res, st
 }
 
-// rewriter carries the shared state of one pass. During the parallel
-// evaluation phase everything here is read-only; only the per-worker
-// evalStates and the distinct per-node slots of ws.best, ws.decided and
-// ws.choices are written.
+// rewriter carries the state of one pass.
 type rewriter struct {
 	m    *mig.MIG
 	d    *db.DB
@@ -413,8 +375,8 @@ type rewriter struct {
 
 	levels       []int // level of every node in out (maintained on creation)
 	replacements int
+	hits, misses int // 4-input lookups answered by, and added to, ws.memo
 
-	roots []mig.ID // scheduling partition of the last evaluateAll
 	// Choice mode (Options.Extract): the chosen compacted result — Run
 	// falls back to compacting r.out when nil — and its stats.
 	done         *mig.MIG
@@ -477,19 +439,19 @@ type transformRef struct {
 // instantiation data, or nil when the class is absent. The function comes
 // straight off the cut — maintained incrementally during enumeration — so
 // no cone is re-simulated. Cuts of at most four leaves resolve through
-// the precomputed 4-input database, memoized in the worker's st.memo; at
+// the precomputed 4-input database, memoized in the workspace's memo; at
 // K = 5, five-leaf cuts resolve through — and are learned by — the
 // on-demand exact-synthesis store.
-func (r *rewriter) lookup(c *cut.Cut, st *evalState) (*db.Entry, transformRef) {
+func (r *rewriter) lookup(c *cut.Cut) (*db.Entry, transformRef) {
 	if c.N == 5 {
 		return r.lookup5(c)
 	}
 	f := tt.TT{Bits: uint64(uint16(c.TT)), N: 4}
-	e, t, ok, hit := r.d.LookupCached(f, st.memo)
+	e, t, ok, hit := r.d.LookupCached(f, r.ws.memo)
 	if hit {
-		st.hits++
+		r.hits++
 	} else {
-		st.misses++
+		r.misses++
 	}
 	if !ok {
 		return nil, transformRef{}
@@ -511,7 +473,8 @@ func (r *rewriter) lookup(c *cut.Cut, st *evalState) (*db.Entry, transformRef) {
 //
 // Lookup blocks while the class is synthesized (first contact only), so
 // a deterministic budget makes the learned database — and therefore
-// every downstream decision — identical at any worker count.
+// every downstream decision — identical however the runs sharing the
+// store interleave.
 func (r *rewriter) lookup5(c *cut.Cut) (*db.Entry, transformRef) {
 	f := tt.TT{Bits: uint64(c.TT), N: 5}
 	if f.SupportSize() != 5 {
@@ -554,10 +517,10 @@ func (r *rewriter) instantiate(e *db.Entry, tr transformRef, leafSigs []mig.Lit)
 
 // coneAdmissible reports whether the cone of v bounded by leaves may be
 // replaced under the current options, and returns its internal gates. The
-// returned slice aliases st.cone and is only valid until the next cone
-// analysis on the same evalState.
-func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID, st *evalState) ([]mig.ID, bool) {
-	nodes := r.m.ConeNodesWS(st.cone, v, leaves)
+// returned slice aliases the workspace's cone scratch and is only valid
+// until the next cone analysis.
+func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID) ([]mig.ID, bool) {
+	nodes := r.m.ConeNodesWS(r.ws.cone, v, leaves)
 	if len(nodes) == 0 {
 		return nil, false
 	}
@@ -574,7 +537,7 @@ func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID, st *evalState) ([]m
 	}
 	// Whole-graph mode: exclude cuts whose internal gates have fanout that
 	// escapes the cone ("not to include them when enumerating cuts").
-	if !r.m.ConeSelfContainedWS(st.cone, nodes, v, r.fo) {
+	if !r.m.ConeSelfContainedWS(r.ws.cone, nodes, v, r.fo) {
 		return nil, false
 	}
 	return nodes, true
@@ -600,21 +563,21 @@ func (r *rewriter) arrivalOf(e *db.Entry, tr transformRef, leaves []mig.ID) int 
 // eachCut calls fn for every cut of v a pass may replace — the trivial
 // cut skipped, the cone admissible under the current options, the cut
 // function's class known — with the replacement the database offers and
-// the cone's internal gates (which alias st.cone until the next cone
-// analysis). Top-down evaluation (bestCut) and the bottom-up candidate
-// lists (runBottomUp) share this loop.
-func (r *rewriter) eachCut(v mig.ID, st *evalState, fn func(rep replacement, cone []mig.ID)) {
+// the cone's internal gates (which alias the cone scratch until the next
+// cone analysis). Top-down evaluation (bestCut) and the bottom-up
+// candidate lists (runBottomUp) share this loop.
+func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 	for i := range r.cuts[v] {
 		c := &r.cuts[v][i]
 		if c.N == 1 && c.L[0] == v {
 			continue // trivial cut: replaces nothing
 		}
 		leaves := c.Leaves()
-		cone, ok := r.coneAdmissible(v, leaves, st)
+		cone, ok := r.coneAdmissible(v, leaves)
 		if !ok {
 			continue
 		}
-		e, tr := r.lookup(c, st)
+		e, tr := r.lookup(c)
 		if e == nil {
 			continue
 		}
@@ -639,17 +602,17 @@ func (r *rewriter) eachCut(v mig.ID, st *evalState, fn func(rep replacement, con
 // the ones global sharing can turn profitable. The menu caps itself at
 // Options.MaxChoices; the greedy decision is uncapped.
 //
-// bestCut is a pure function of v over the pass's read-only state — the
-// property the parallel evaluation phase relies on — and allocates
-// nothing in the steady state.
-func (r *rewriter) bestCut(v mig.ID, st *evalState) {
+// bestCut is a pure function of v over the input graph, so evaluating
+// every gate up front (choice mode) or on first visit (greedy) decides
+// the same; it allocates nothing in the steady state.
+func (r *rewriter) bestCut(v mig.ID) {
 	ws := r.ws
 	var best candidateCut
 	var menu []choiceRec
 	if r.opt.Extract {
 		menu = ws.choices[v][:0]
 	}
-	r.eachCut(v, st, func(rep replacement, cone []mig.ID) {
+	r.eachCut(v, func(rep replacement, cone []mig.ID) {
 		e := rep.entry
 		if r.opt.Extract {
 			for ci := 0; ci < e.NumCandidates() && len(menu) < r.opt.MaxChoices; ci++ {

@@ -16,9 +16,9 @@ import (
 // pick is the greedy decision of the node (decide) or, in choice mode,
 // the menu entry the extraction selected. Either way it is fixed per
 // node before the walk needs it, and the walk order is fixed, so the
-// output graph is bit-identical for every worker count. The walk is an
-// explicit-stack DFS, so graphs with arbitrarily long chains cannot
-// overflow the goroutine stack.
+// output graph is deterministic. The walk is an explicit-stack DFS, so
+// graphs with arbitrarily long chains cannot overflow the goroutine
+// stack.
 func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 	ws := r.ws
 	res, known := ws.res, ws.known
@@ -89,8 +89,8 @@ func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 // commitGreedy runs the commit walk over the greedy decisions inside the
 // rewrite.commit span. r.opt.Ctx is swapped for the span's context so
 // on-demand ladder spans started inside Exact5.Lookup parent under it: a
-// serial greedy pass evaluates every node lazily from the walk, so that
-// is where its time actually goes.
+// greedy pass evaluates every node lazily from the walk, so that is
+// where its time actually goes.
 func (r *rewriter) commitGreedy() {
 	base := r.opt.Ctx
 	cctx, cspan := obs.Start(base, "rewrite.commit")
@@ -104,10 +104,10 @@ func (r *rewriter) commitGreedy() {
 }
 
 // decide is the greedy pick: v's bestCut decision, evaluated on first
-// visit unless evaluateAll already memoized it.
+// visit unless a choice-aware pass already memoized it.
 func (r *rewriter) decide(v mig.ID) *replacement {
 	if !r.ws.decided[v] {
-		r.bestCut(v, &r.ws.eval[0])
+		r.bestCut(v)
 	}
 	if best := &r.ws.best[v]; best.entry != nil {
 		return &best.replacement

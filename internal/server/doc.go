@@ -7,7 +7,7 @@
 // # Endpoints
 //
 //	POST /v1/optimize        optimize one netlist (OptimizeRequest)
-//	POST /v1/optimize/batch  optimize many netlists concurrently (BatchRequest)
+//	POST /v1/optimize/batch  optimize many netlists in one request (BatchRequest)
 //	GET  /v1/scripts         list preset scripts and their pass composition
 //	GET  /healthz            liveness probe
 //	GET  /metrics            Prometheus-style counters
@@ -33,6 +33,8 @@
 // netlists by Config.MaxGates after, and a service-level slot pool
 // (Config.MaxConcurrent) bounds the number of optimization jobs in
 // flight — queued requests wait for a slot only until their deadline.
+// A request holds one slot and runs its jobs one after another, each on
+// one goroutine, so a slot is one CPU.
 //
 // # Concurrency contract
 //

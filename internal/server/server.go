@@ -46,12 +46,10 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxConcurrent bounds the number of optimization jobs running at
 	// once across all requests (the service-level worker pool; parsing
-	// and encoding are not limited). Requests queue for a slot until
-	// their deadline. Default runtime.NumCPU().
+	// and encoding are not limited). Every job runs on one goroutine, so
+	// a slot is one CPU. Requests queue for a slot until their deadline.
+	// Default runtime.NumCPU().
 	MaxConcurrent int
-	// MaxWorkersPerRequest caps the intra-graph rewrite parallelism a
-	// request may ask for. Default 4; negative disables the cap.
-	MaxWorkersPerRequest int
 	// CacheFile persists the learned 5-input store across process
 	// restarts: New restores the snapshot at this path (a missing file is
 	// a cold start; a corrupt or version-skewed one degrades to a cold
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.NumCPU()
-	}
-	if c.MaxWorkersPerRequest == 0 {
-		c.MaxWorkersPerRequest = 4
 	}
 	if c.CacheFile != "" && c.CacheSnapshotInterval == 0 {
 		c.CacheSnapshotInterval = 5 * time.Minute
@@ -436,10 +431,6 @@ type ScriptSpec struct {
 	Passes []string `json:"passes,omitempty"`
 	// MaxIterations caps the script rounds (default: the engine's 10).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// Workers asks for intra-graph rewrite parallelism; clamped to the
-	// server's MaxWorkersPerRequest. Results are bit-identical at any
-	// value.
-	Workers int `json:"workers,omitempty"`
 	// Extract switches every top-down rewrite pass of the script to its
 	// choice-aware form in the pass grammar ("TF" → "TFx", "TFD5" →
 	// "TFD5x"): candidate menus per cut, one globally selected cover,
@@ -455,7 +446,7 @@ type ScriptSpec struct {
 }
 
 // BatchRequest is the body of POST /v1/optimize/batch: many netlists
-// optimized concurrently under one script and one shared deadline.
+// optimized one after another under one script and one shared deadline.
 type BatchRequest struct {
 	Jobs []BatchJobRequest `json:"jobs"`
 	ScriptSpec
@@ -616,7 +607,8 @@ func writeNetlist(m *mig.MIG, format string) (string, error) {
 	return b.String(), err
 }
 
-// pipeline builds the request's pipeline with server-side clamps applied.
+// pipeline resolves the request's script over the server's database and
+// shared 5-input store.
 func (s *Server) pipeline(spec ScriptSpec) (*engine.Pipeline, error) {
 	var (
 		p   *engine.Pipeline
@@ -641,17 +633,6 @@ func (s *Server) pipeline(spec ScriptSpec) (*engine.Pipeline, error) {
 		// in their own iteration caps, and zero must not erase them.
 		p.MaxIterations = spec.MaxIterations
 	}
-	workers := spec.Workers
-	if workers < 0 {
-		// A negative request is "no preference", not "minus three
-		// workers": normalize before the upper clamp so the engine never
-		// sees a nonsense budget.
-		workers = 0
-	}
-	if limit := s.cfg.MaxWorkersPerRequest; limit > 0 && workers > limit {
-		workers = limit
-	}
-	p.Workers = workers
 	depth := false
 	switch spec.ExtractObjective {
 	case "", "size":
@@ -800,11 +781,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, req BatchRequest, b
 
 	var stream *streamWriter
 	opt := engine.BatchOptions{
-		// The service pool already bounds concurrency across requests;
-		// within one request, jobs may use all request slots… but keeping
-		// one request on one slot keeps the pool's accounting honest, so
-		// batch jobs of a single request run sequentially unless the
-		// request asked for intra-graph workers.
+		// A request holds one slot, so its jobs run one after another:
+		// the slot pool then bounds the CPUs in use across requests.
 		Workers: 1,
 	}
 	if req.Stream {

@@ -292,7 +292,7 @@ func TestOversizedNetlist(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		url  string
@@ -304,6 +304,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown script", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","script":"nope"}`},
 		{"unknown pass", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","passes":["XX"]}`},
 		{"unknown format", "/v1/optimize", `{"netlist":"INPUT(a)","format":"blif"}`},
+		{"negative mig inputs", "/v1/optimize", `{"netlist":"mig -2 0 0\n","format":"mig"}`},
+		{"negative mig gates", "/v1/optimize", `{"netlist":"mig 1 -5 0\n","format":"mig"}`},
 		{"empty batch", "/v1/optimize/batch", `{"jobs":[]}`},
 	}
 	for _, tc := range cases {
@@ -320,6 +322,9 @@ func TestBadRequests(t *testing.T) {
 				t.Error("400 response has no JSON error body")
 			}
 		})
+	}
+	if got := s.metrics.handlerPanics.Load(); got != 0 {
+		t.Errorf("bad requests panicked the handler %d times", got)
 	}
 }
 
@@ -447,46 +452,44 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers: the same request with different worker
-// budgets must return byte-identical netlists (the FFR-parallel rewriter's
-// contract, surfaced through the API).
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	_, hs := newTestServer(t, Config{MaxWorkersPerRequest: 8})
-	get := func(workers int) string {
-		resp := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{
-			Netlist:    suiteBench(t, "Sine"),
-			ScriptSpec: ScriptSpec{Script: "quick", Workers: workers},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		return decodeBody[OptimizeResponse](t, resp).Netlist
+// optimizeWithWorkers posts netlist under the quick script, adding the
+// legacy "workers" field unless workers is nil, and returns the
+// optimised netlist after checking for 200.
+func optimizeWithWorkers(t *testing.T, url, netlist string, workers any) string {
+	t.Helper()
+	body := map[string]any{"netlist": netlist, "script": "quick"}
+	if workers != nil {
+		body["workers"] = workers
 	}
-	serial := get(1)
-	parallel := get(8)
-	if serial != parallel {
-		t.Error("netlists differ between 1 and 8 intra-graph workers")
+	resp := postJSON(t, url+"/v1/optimize", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("workers %v: status = %d, want 200", workers, resp.StatusCode)
+	}
+	return decodeBody[OptimizeResponse](t, resp).Netlist
+}
+
+// TestDeterministicAcrossWorkers: "workers" once asked for intra-graph
+// parallelism. Old clients still send it, so it is accepted and ignored:
+// absent, 1 and 8 return byte-identical netlists.
+func TestDeterministicAcrossWorkers(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	netlist := suiteBench(t, "Sine")
+	want := optimizeWithWorkers(t, hs.URL, netlist, nil)
+	for _, workers := range []int{1, 8} {
+		if got := optimizeWithWorkers(t, hs.URL, netlist, workers); got != want {
+			t.Errorf("workers %d: netlist differs from the request without it", workers)
+		}
 	}
 }
 
-// TestNegativeWorkersNormalized: a negative workers request must not
-// reach the engine — only the upper clamp existed before, so a negative
-// slipped through pipeline() unmodified.
+// TestNegativeWorkersNormalized: a negative "workers" is no error either;
+// it is ignored like any other value and the result matches the request
+// without the field.
 func TestNegativeWorkersNormalized(t *testing.T) {
-	s, hs := newTestServer(t, Config{})
-	p, err := s.pipeline(ScriptSpec{Script: "quick", Workers: -8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Workers != 0 {
-		t.Errorf("pipeline kept negative workers: %d, want 0", p.Workers)
-	}
-	resp := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{
-		Netlist:    fullAdderBench,
-		ScriptSpec: ScriptSpec{Script: "quick", Workers: -8},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("negative-workers request: status = %d, want 200", resp.StatusCode)
+	_, hs := newTestServer(t, Config{})
+	want := optimizeWithWorkers(t, hs.URL, fullAdderBench, nil)
+	if got := optimizeWithWorkers(t, hs.URL, fullAdderBench, -8); got != want {
+		t.Error("workers -8: netlist differs from the request without it")
 	}
 }
 

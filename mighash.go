@@ -30,10 +30,9 @@
 // better. The
 // rewriting hot path is allocation-free in the steady state — cuts carry
 // their truth tables, cone analysis uses epoch-stamped workspaces — and
-// parallelizes inside a single graph: best cuts of independent fanout-
-// free regions are evaluated concurrently and committed deterministically
-// (Pipeline.Workers / RewriteOptions.Workers), producing bit-identical
-// results at any worker count. The internal/server subsystem serves the
+// each pass is one serial, deterministic walk; parallelism comes from
+// optimizing many graphs (or the output cones of one, SplitOutputs) at
+// once. The internal/server subsystem serves the
 // engine over HTTP (cmd/migserve): JSON requests carrying BENCH/MIG
 // netlists, streamed per-pass statistics, and per-request deadlines and
 // size limits — embed it with NewOptimizeServer. The internal/obs
@@ -218,7 +217,7 @@ var (
 // choice graph and extract a globally best cover over the whole graph
 // (e-graph extraction specialized to the rewriter). The extracted
 // result is never worse than the greedy twin on the same input, and
-// bit-identical at any worker count. RewriteOptions.Extract switches a
+// deterministic. RewriteOptions.Extract switches a
 // top-down variant into this mode; RewriteOptions.ExtractObjective
 // picks what the cover minimizes. The same type is Pipeline.Objective,
 // the metric a script converges on: ExtractSize ranks graphs by size
@@ -343,7 +342,7 @@ type (
 	// OptimizeStreamEvent is one JSON line of a streaming response.
 	OptimizeStreamEvent = server.StreamEvent
 	// OptimizeScriptSpec selects the pipeline of a request (preset name
-	// or custom pass list, iteration cap, intra-graph workers).
+	// or custom pass list, iteration cap, extraction).
 	OptimizeScriptSpec = server.ScriptSpec
 	// OptimizeScriptInfo describes one preset script in GET /v1/scripts.
 	OptimizeScriptInfo = server.ScriptInfo
