@@ -80,7 +80,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxBody     = flag.Int64("max-body", 0, "request body byte cap (0 = 16 MiB default)")
-		maxGates    = flag.Int("max-gates", 0, "parsed netlist gate cap (0 = default, <0 = unlimited)")
+		maxGates    = flag.Int("max-gates", 0, "netlist size cap on inputs plus gates, checked at a mig header before building (0 = default, <0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "default per-request optimization deadline (0 = 60s)")
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on client-requested deadlines (0 = 5m)")
 		concurrency = flag.Int("concurrency", 0, "optimization jobs in flight at once, one CPU each (0 = NumCPU)")

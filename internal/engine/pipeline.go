@@ -278,7 +278,7 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 				}
 				next, ps := p.runPass(st.Iterations, pass, cur, ienv)
 				if p.PassCheck != nil {
-					if err := p.PassCheck(ps.Name, st.Iterations, cur, next); err != nil {
+					if err := p.checkPass(ictx, ps, cur, next); err != nil {
 						return err
 					}
 				}
@@ -306,6 +306,17 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 	st.SizeAfter, st.DepthAfter = bestSize, bestDepth
 	st.Elapsed = time.Since(start)
 	return best, st, nil
+}
+
+// checkPass runs the PassCheck hook on one executed pass inside a
+// "pass-check" span, a sibling of the pass's own span, so a trace shows
+// what per-pass verification costs beside each pass.
+func (p *Pipeline) checkPass(ctx context.Context, ps PassStats, before, after *mig.MIG) error {
+	_, span := obs.Start(ctx, "pass-check")
+	defer span.End()
+	span.SetStr("name", ps.Name)
+	span.SetInt("iteration", int64(ps.Iteration))
+	return p.PassCheck(ps.Name, ps.Iteration, before, after)
 }
 
 // runPass executes one pass inside a "pass" span. The span is ended

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mighash/internal/mig"
 	"mighash/internal/obs"
 	"mighash/internal/rewrite"
 )
@@ -170,6 +171,68 @@ func TestBatchJobSpans(t *testing.T) {
 	for _, j := range jobs {
 		if names[j.Name] != 1 {
 			t.Errorf("job %q has %d job spans, want 1 (all: %v)", j.Name, names[j.Name], names)
+		}
+	}
+}
+
+// TestPassCheckSpans pins that per-pass verification shows in traces:
+// with PassCheck set, every executed pass gets one "pass-check" span with
+// the pass's name and iteration, in pass order; without it, none.
+func TestPassCheckSpans(t *testing.T) {
+	d := loadDB(t)
+	m := randomMIG(rand.New(rand.NewSource(7)), 8, 300, 4)
+	type rec struct {
+		name string
+		iter int
+	}
+	spans := func(tr *obs.Tracer, name string) []rec {
+		var out []rec
+		for _, s := range tr.Spans() {
+			if s.Name() != name {
+				continue
+			}
+			r := rec{name: s.Attr("name")}
+			for _, a := range s.Attrs() {
+				if a.Key == "iteration" {
+					r.iter = int(a.Int)
+				}
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	for _, check := range []bool{false, true} {
+		p := &Pipeline{
+			Name:   "pass-check-test",
+			Passes: []Pass{RewritePass(rewrite.TF), RewritePass(rewrite.BF)},
+			DB:     d,
+		}
+		var checked []rec
+		if check {
+			p.PassCheck = func(pass string, iter int, before, after *mig.MIG) error {
+				checked = append(checked, rec{pass, iter})
+				return nil
+			}
+		}
+		tr := obs.New(obs.Options{Retain: true})
+		_, st, err := p.RunContext(obs.ContextWithTracer(context.Background(), tr), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes, checks := spans(tr, "pass"), spans(tr, "pass-check")
+		if !check {
+			if len(checks) != 0 {
+				t.Fatalf("no PassCheck, yet %d pass-check spans", len(checks))
+			}
+			continue
+		}
+		if len(passes) != len(st.Passes) || len(checks) != len(passes) {
+			t.Fatalf("%d passes ran, %d pass spans, %d pass-check spans", len(st.Passes), len(passes), len(checks))
+		}
+		for i := range checks {
+			if checks[i] != passes[i] || checks[i] != checked[i] {
+				t.Fatalf("check %d: span %v, pass span %v, hook saw %v", i, checks[i], passes[i], checked[i])
+			}
 		}
 	}
 }

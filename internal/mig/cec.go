@@ -2,6 +2,8 @@ package mig
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"mighash/internal/sat"
@@ -121,7 +123,7 @@ func EquivalentOpt(a, b *MIG, opt EquivOptions) (bool, *Counterexample, EquivSta
 		if pool == nil {
 			pool = sim.NewPool(a.NumPIs(), opt.Seed)
 		}
-		if ce, n := simRefute(a, b, pool, w, nil); ce != nil {
+		if ce, n := simRefute(a, b, pool, w); ce != nil {
 			st.SimPatterns = n
 			st.SimRefuted, st.Proven = true, true
 			return false, ce, st, nil
@@ -196,23 +198,36 @@ func EquivalentOpt(a, b *MIG, opt EquivOptions) (bool, *Counterexample, EquivSta
 	}
 }
 
+// refuteScratch is the reusable state of one simRefute call: both
+// compiled circuits, the sweep workspace and both output batches.
+type refuteScratch struct {
+	ca, cb     sim.Circuit
+	ws         *sim.Workspace
+	outA, outB []uint64
+}
+
+// refuteScratches recycles simRefute's buffers across calls, so a check
+// allocates neither NumNodes·w words of node values nor the compiled
+// circuits each time it runs.
+var refuteScratches = sync.Pool{New: func() any { return &refuteScratch{ws: sim.NewWorkspace()} }}
+
 // simRefute sweeps both graphs over 64·w pool patterns and extracts a
 // counterexample from the earliest differing pattern, or nil when the
-// batch cannot tell the graphs apart. ws may be nil for a private
-// workspace; n reports the patterns simulated.
-func simRefute(a, b *MIG, pool *sim.Pool, w int, ws *sim.Workspace) (ce *Counterexample, n int) {
-	if ws == nil {
-		ws = sim.NewWorkspace()
-	}
-	ca, cb := a.SimCircuit(), b.SimCircuit()
-	inputs := ws.Inputs(ca.NumPIs, w)
+// batch cannot tell the graphs apart; n reports the patterns simulated.
+// Nothing it returns refers to the recycled buffers.
+func simRefute(a, b *MIG, pool *sim.Pool, w int) (ce *Counterexample, n int) {
+	sc := refuteScratches.Get().(*refuteScratch)
+	defer refuteScratches.Put(sc)
+	ca, cb := &sc.ca, &sc.cb
+	a.compileSim(ca)
+	b.compileSim(cb)
+	inputs := sc.ws.Inputs(ca.NumPIs, w)
 	pool.Fill(inputs, w)
-	// One workspace serves both sweeps; outputs are snapshotted into
-	// per-call slices only when they differ.
-	outA := make([]uint64, ca.NumPOs()*w)
-	outB := make([]uint64, cb.NumPOs()*w)
-	ca.Run(ws, inputs, w, outA)
-	cb.Run(ws, inputs, w, outB)
+	sc.outA = slices.Grow(sc.outA[:0], ca.NumPOs()*w)[:ca.NumPOs()*w]
+	sc.outB = slices.Grow(sc.outB[:0], cb.NumPOs()*w)[:cb.NumPOs()*w]
+	outA, outB := sc.outA, sc.outB
+	ca.Run(sc.ws, inputs, w, outA)
+	cb.Run(sc.ws, inputs, w, outB)
 	n = 64 * w
 	q, _, differs := sim.Diff(outA, outB, w)
 	if !differs {

@@ -1,7 +1,9 @@
 package mig
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mighash/internal/sim"
@@ -212,5 +214,79 @@ func TestEquivalentPoolFeedback(t *testing.T) {
 	}
 	if eq || !st.SimRefuted || st.SATRan {
 		t.Fatalf("pool feedback did not short-circuit SAT: eq=%v stats=%+v", eq, st)
+	}
+}
+
+// TestEquivalentOptReusesScratchSafely runs refute-only checks of pairs
+// of different widths, sizes and batch sizes from several goroutines at
+// once, so the pooled simulation buffers pass between calls and are
+// resized both ways; every verdict and counterexample must match the
+// serial run's.
+func TestEquivalentOptReusesScratchSafely(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type pair struct {
+		a, b *MIG
+		eq   bool
+		ce   string
+	}
+	var pairs []pair
+	for i := 0; i < 16; i++ {
+		m := randomMIG(rng, 4+rng.Intn(60), 10+rng.Intn(200), 1+rng.Intn(4))
+		b := m.Clone()
+		if i%2 == 1 {
+			b = mutate(m, rng.Intn(m.NumPOs()), rng.Intn(m.NumPIs()))
+		}
+		pairs = append(pairs, pair{a: m, b: b})
+	}
+	check := func(p pair) (bool, string) {
+		eq, ce, _, err := EquivalentOpt(p.a, p.b, EquivOptions{NoSAT: true, SimPatterns: 64 << (p.a.NumPIs() % 3)})
+		if err != nil {
+			t.Error(err)
+		}
+		return eq, fmt.Sprint(ce)
+	}
+	for i := range pairs {
+		pairs[i].eq, pairs[i].ce = check(pairs[i])
+		if pairs[i].eq != (i%2 == 0) {
+			t.Fatalf("pair %d: equivalent = %v", i, pairs[i].eq)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				i := (g*5 + k) % len(pairs)
+				if eq, ce := check(pairs[i]); eq != pairs[i].eq || ce != pairs[i].ce {
+					t.Errorf("pair %d: got (%v, %s), serial (%v, %s)", i, eq, ce, pairs[i].eq, pairs[i].ce)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
+
+// TestEquivalentOptSteadyStateAllocs pins that a refute-only check over a
+// shared pool allocates nothing once warm: the sweep workspace, compiled
+// circuits and output batches are reused (AllocsPerRun measures at
+// GOMAXPROCS 1, so the reuse pool's per-P slot is always the same one).
+func TestEquivalentOptSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	m := randomMIG(rand.New(rand.NewSource(3)), 40, 400, 4)
+	c := m.Clone()
+	opt := EquivOptions{NoSAT: true, Pool: sim.NewPool(m.NumPIs(), 1)}
+	allocs := testing.AllocsPerRun(20, func() {
+		if eq, _, _, err := EquivalentOpt(m, c, opt); err != nil || !eq {
+			t.Fatalf("clone: equivalent = %v, err = %v", eq, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm refute-only check made %.1f allocations, want 0", allocs)
 	}
 }

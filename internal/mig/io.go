@@ -34,9 +34,15 @@ func (m *MIG) WriteText(w io.Writer) error {
 // through Maj, so the result is structurally hashed (and may be smaller
 // than the input if it contained redundancies); literal identities of the
 // source are preserved via remapping.
-func ReadText(r io.Reader) (*MIG, error) {
+func ReadText(r io.Reader) (*MIG, error) { return ReadTextLimit(r, -1) }
+
+// ReadTextLimit is ReadText with a size limit for untrusted input: a
+// header declaring more than limit inputs and gates together fails with
+// a *SizeError before anything is allocated for them. A negative limit
+// disables the check.
+func ReadTextLimit(r io.Reader, limit int) (*MIG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mig: empty input")
 	}
@@ -48,6 +54,9 @@ func ReadText(r io.Reader) (*MIG, error) {
 	const maxID = 1<<31 - 1
 	if numPI < 0 || numGates < 0 || numPO < 0 || numPI > maxID || numGates > maxID-numPI {
 		return nil, fmt.Errorf("mig: bad header %q: counts must be non-negative, with at most %d inputs and gates together", sc.Text(), maxID)
+	}
+	if limit >= 0 && numPI+numGates > limit {
+		return nil, &SizeError{Inputs: numPI, Gates: numGates, Limit: limit}
 	}
 	m := New(numPI)
 	// old literal -> new literal; terminals map to themselves. It grows
@@ -105,6 +114,17 @@ func ReadText(r io.Reader) (*MIG, error) {
 		m.AddOutput(l)
 	}
 	return m, sc.Err()
+}
+
+// SizeError reports a netlist with more inputs and gates together than
+// the reader's limit allows.
+type SizeError struct {
+	Inputs, Gates, Limit int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("mig: netlist has %d inputs and %d gates, exceeding the limit of %d inputs and gates together",
+		e.Inputs, e.Gates, e.Limit)
 }
 
 // WriteDOT emits a Graphviz rendering in the visual style of the paper's

@@ -2,6 +2,7 @@ package mig
 
 import (
 	"fmt"
+	"slices"
 
 	"mighash/internal/sim"
 	"mighash/internal/tt"
@@ -97,19 +98,23 @@ func (m *MIG) EvalBits(assignment []bool) []bool {
 // gates are carried along — Run's cost is proportional to NumNodes, and
 // callers that care compact first.
 func (m *MIG) SimCircuit() *sim.Circuit {
-	c := &sim.Circuit{
-		NumPIs:  m.numPI,
-		Fanin:   make([][3]sim.Lit, len(m.fanin)-1-m.numPI),
-		Outputs: make([]sim.Lit, len(m.outputs)),
-	}
+	c := &sim.Circuit{}
+	m.compileSim(c)
+	return c
+}
+
+// compileSim is SimCircuit into c, reusing the capacity of its slices.
+func (m *MIG) compileSim(c *sim.Circuit) {
+	c.NumPIs = m.numPI
+	c.Fanin = slices.Grow(c.Fanin[:0], m.NumGates())
 	for id := m.numPI + 1; id < len(m.fanin); id++ {
 		f := m.fanin[id]
-		c.Fanin[id-m.numPI-1] = [3]sim.Lit{sim.Lit(f[0]), sim.Lit(f[1]), sim.Lit(f[2])}
+		c.Fanin = append(c.Fanin, [3]sim.Lit{sim.Lit(f[0]), sim.Lit(f[1]), sim.Lit(f[2])})
 	}
-	for i, o := range m.outputs {
-		c.Outputs[i] = sim.Lit(o)
+	c.Outputs = slices.Grow(c.Outputs[:0], len(m.outputs))
+	for _, o := range m.outputs {
+		c.Outputs = append(c.Outputs, sim.Lit(o))
 	}
-	return c
 }
 
 // ConeTT computes the local function of root in terms of the given leaves:

@@ -29,8 +29,9 @@
 // Every request runs under a deadline (client-requested, clamped to
 // Config.MaxTimeout) that flows into the engine's context cancellation,
 // so no request occupies the service longer than configured. Request
-// bodies are capped by Config.MaxBodyBytes before parsing and parsed
-// netlists by Config.MaxGates after, and a service-level slot pool
+// bodies are capped by Config.MaxBodyBytes before parsing, and netlists
+// by Config.MaxGates on inputs plus gates: mig text at its header, before
+// anything is built, and BENCH once parsed. A service-level slot pool
 // (Config.MaxConcurrent) bounds the number of optimization jobs in
 // flight — queued requests wait for a slot only until their deadline.
 // A request holds one slot and runs its jobs one after another, each on

@@ -33,10 +33,13 @@ type Config struct {
 	// MaxBodyBytes caps the request body; larger bodies are rejected with
 	// 413 before parsing. Default 16 MiB.
 	MaxBodyBytes int64
-	// MaxGates rejects parsed netlists above this gate count with 413
-	// (the cheap byte cap cannot see how a netlist expands — XOR-heavy
-	// BENCH files grow 3× when lowered to majority gadgets). Default
-	// 2,000,000; negative disables the check.
+	// MaxGates rejects netlists with more inputs and gates together than
+	// this with 413 (the cheap byte cap cannot see how a netlist expands
+	// — XOR-heavy BENCH files grow 3× when lowered to majority gadgets,
+	// and an 18-byte mig header can declare ten million inputs). A mig
+	// header is checked before anything is built; a BENCH netlist is
+	// checked once parsed. Default 2,000,000; negative disables the
+	// check.
 	MaxGates int
 	// DefaultTimeout bounds a request that does not ask for a deadline of
 	// its own. Default 60s.
@@ -558,7 +561,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// parseNetlist parses one job's netlist and enforces the gate cap.
+// parseNetlist parses one job's netlist and enforces the size cap; a
+// netlist over the cap fails with a *mig.SizeError.
 func (s *Server) parseNetlist(netlist, format string) (*mig.MIG, error) {
 	if strings.TrimSpace(netlist) == "" {
 		return nil, fmt.Errorf("empty netlist")
@@ -571,25 +575,17 @@ func (s *Server) parseNetlist(netlist, format string) (*mig.MIG, error) {
 	case "", "bench":
 		m, err = mig.ReadBENCH(strings.NewReader(netlist))
 	case "mig":
-		m, err = mig.ReadText(strings.NewReader(netlist))
+		m, err = mig.ReadTextLimit(strings.NewReader(netlist), s.cfg.MaxGates)
 	default:
 		return nil, fmt.Errorf("unknown netlist format %q (want \"bench\" or \"mig\")", format)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.MaxGates >= 0 && m.NumGates() > s.cfg.MaxGates {
-		return nil, errTooLarge{gates: m.NumGates(), limit: s.cfg.MaxGates}
+	if s.cfg.MaxGates >= 0 && m.NumPIs()+m.NumGates() > s.cfg.MaxGates {
+		return nil, &mig.SizeError{Inputs: m.NumPIs(), Gates: m.NumGates(), Limit: s.cfg.MaxGates}
 	}
 	return m, nil
-}
-
-// errTooLarge marks a parsed-netlist size violation so the handler can
-// map it to 413 instead of 400.
-type errTooLarge struct{ gates, limit int }
-
-func (e errTooLarge) Error() string {
-	return fmt.Sprintf("netlist has %d gates, exceeding the %d-gate limit", e.gates, e.limit)
 }
 
 // writeNetlist renders m in the request's format.
@@ -744,7 +740,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, req BatchRequest, b
 		m, err := s.parseNetlist(j.Netlist, j.Format)
 		if err != nil {
 			status := http.StatusBadRequest
-			var tooLarge errTooLarge
+			var tooLarge *mig.SizeError
 			if errors.As(err, &tooLarge) {
 				status = http.StatusRequestEntityTooLarge
 			}

@@ -291,6 +291,38 @@ func TestOversizedNetlist(t *testing.T) {
 	}
 }
 
+// TestOversizedMIGHeader pins the mig front door: a header declaring
+// more inputs and gates together than MaxGates is refused with 413 before
+// anything is built, so the 18-byte body that once built a 10,000,000-input
+// graph (154 MiB) now costs no more than the request around it. A header
+// exactly at the cap gets past the check and fails as truncated (400).
+func TestOversizedMIGHeader(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxGates: 1000})
+	for _, c := range []struct {
+		netlist string
+		status  int
+	}{
+		{"mig 10000000 0 0", http.StatusRequestEntityTooLarge},
+		{"mig 10 991 0\n", http.StatusRequestEntityTooLarge},
+		{"mig 10 990 0\n", http.StatusBadRequest},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{Netlist: c.netlist, Format: "mig"})
+		out := decodeBody[errorResponse](t, resp)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != c.status {
+			t.Errorf("%q: status = %d, want %d (%s)", c.netlist, resp.StatusCode, c.status, out.Error)
+		}
+		if c.status == http.StatusRequestEntityTooLarge && !strings.Contains(out.Error, "inputs and gates") {
+			t.Errorf("%q: unhelpful error: %q", c.netlist, out.Error)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%q: the request allocated %d bytes", c.netlist, grew)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	cases := []struct {

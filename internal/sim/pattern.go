@@ -66,58 +66,81 @@ func (p *Pool) Counterexamples() int {
 
 // Fill writes NumPIs·w pattern words in Run's layout (input i occupies
 // words [i·w, (i+1)·w)). See the type comment for the pattern ladder.
+//
+// The structural patterns fill a prefix [0, end) of the batch, and Fill
+// stamps them one input row at a time: per row, each block is one range
+// clear or set of whole words, plus one bit per counterexample and one
+// bit per walking block. A fill therefore costs O(NumPIs·w) word writes,
+// and random words the prefix covers entirely are never generated.
 func (p *Pool) Fill(words []uint64, w int) {
 	if len(words) != p.n*w {
 		panic(fmt.Sprintf("sim: Fill needs %d words (%d PIs × %d), got %d", p.n*w, p.n, w, len(words)))
 	}
-	// Random base layer: every word gets its own splitmix64 output so the
-	// pattern stream is position-stable under batch growth.
-	for i := 0; i < p.n; i++ {
-		row := words[i*w : (i+1)*w]
-		for k := range row {
-			row[k] = splitmix64(p.seed ^ mix(uint64(i), uint64(k)))
-		}
+	if w <= 0 {
+		return
 	}
-	patterns := 64 * w
-	set := func(q, input int, v bool) {
-		word, bit := q/64, uint(q%64)
-		if v {
-			words[input*w+word] |= 1 << bit
-		} else {
-			words[input*w+word] &^= 1 << bit
-		}
-	}
-	q := 0
-	stamp := func(f func(input int) bool) bool {
-		if q >= patterns {
-			return false
-		}
-		for i := 0; i < p.n; i++ {
-			set(q, i, f(i))
-		}
-		q++
-		return true
-	}
-	stamp(func(int) bool { return false })
-	stamp(func(int) bool { return true })
 	p.mu.Lock()
 	ces := p.ces
 	p.mu.Unlock()
-	for _, ce := range ces {
-		if !stamp(func(i int) bool { return ce[i] }) {
-			return
+	// Where each block of the ladder starts, and where truncation cuts it.
+	hot := 2 + len(ces)
+	cold := hot + p.n
+	end := min(cold+p.n, 64*w)
+	ces = ces[:min(len(ces), end-2)]
+	for i := 0; i < p.n; i++ {
+		row := words[i*w : (i+1)*w]
+		// Random base layer: every word gets its own splitmix64 output so
+		// the pattern stream is position-stable under batch growth.
+		for k := end / 64; k < w; k++ {
+			row[k] = splitmix64(p.seed ^ mix(uint64(i), uint64(k)))
+		}
+		// Below the one-cold block every pattern is 0 except the
+		// all-ones pattern, this input's counterexample bits and its
+		// one-hot bit; the one-cold block is 1 except this input's bit.
+		fillBits(row, 0, min(cold, end), false)
+		fillBits(row, cold, end, true)
+		setBit(row, 1)
+		for c, ce := range ces {
+			if ce[i] {
+				setBit(row, 2+c)
+			}
+		}
+		if q := hot + i; q < end {
+			setBit(row, q)
+		}
+		if q := cold + i; q < end {
+			row[q/64] &^= 1 << uint(q%64)
 		}
 	}
-	for hot := 0; hot < p.n; hot++ {
-		if !stamp(func(i int) bool { return i == hot }) {
-			return
-		}
+}
+
+// setBit sets pattern q of an input row.
+func setBit(row []uint64, q int) { row[q/64] |= 1 << uint(q%64) }
+
+// fillBits sets patterns [a, b) of an input row to v: a masked write of
+// the first and last word and plain stores in between. It does nothing
+// when a >= b.
+func fillBits(row []uint64, a, b int, v bool) {
+	if a >= b {
+		return
 	}
-	for cold := 0; cold < p.n; cold++ {
-		if !stamp(func(i int) bool { return i != cold }) {
-			return
-		}
+	var fill uint64
+	if v {
+		fill = ^uint64(0)
 	}
+	first, last := a/64, (b-1)/64
+	lo := ^uint64(0) << uint(a%64)        // patterns >= a of the first word
+	hi := ^uint64(0) >> uint(63-(b-1)%64) // patterns < b of the last word
+	if first == last {
+		m := lo & hi
+		row[first] = row[first]&^m | fill&m
+		return
+	}
+	row[first] = row[first]&^lo | fill&lo
+	for k := first + 1; k < last; k++ {
+		row[k] = fill
+	}
+	row[last] = row[last]&^hi | fill&hi
 }
 
 // splitmix64 is the SplitMix64 output function: a bijective avalanche
