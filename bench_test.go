@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the design choices documented in DESIGN.md. Run with
+// ablations of internal design choices. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -301,30 +301,6 @@ func BenchmarkEngine_NPNLookupUncached(b *testing.B) {
 }
 
 // ------------------------------------------------------------ Ablations
-
-// BenchmarkAblation_CutCap8 vs 64 quantifies the priority-cut cap of the
-// rewriter (DESIGN.md §3).
-func BenchmarkAblation_CutCap8(b *testing.B) {
-	benchVariant(b, "Sine", rewrite.Options{FFR: true, MaxCuts: 8})
-}
-func BenchmarkAblation_CutCap64(b *testing.B) {
-	benchVariant(b, "Sine", rewrite.Options{FFR: true, MaxCuts: 64})
-}
-
-// BenchmarkAblation_BFCandidates2 vs 16 quantifies the bottom-up
-// candidate-list cap of Algorithm 2.
-func BenchmarkAblation_BFCandidates2(b *testing.B) {
-	benchVariant(b, "Sine", rewrite.Options{BottomUp: true, FFR: true, MaxCandidates: 2})
-}
-func BenchmarkAblation_BFCandidates16(b *testing.B) {
-	benchVariant(b, "Sine", rewrite.Options{BottomUp: true, FFR: true, MaxCandidates: 16})
-}
-
-// BenchmarkAblation_ZeroGain allows size-neutral, depth-improving
-// replacements.
-func BenchmarkAblation_ZeroGain(b *testing.B) {
-	benchVariant(b, "Sine", rewrite.Options{FFR: true, AllowZeroGain: true})
-}
 
 // BenchmarkAblation_ExactPruning measures the encoding's extra pruning
 // (all-gates-used, ≤1 complemented operand) on a 5-gate class.

@@ -13,7 +13,7 @@
 //	migpipe -script quick -benchmarks Max -out max.dot  # Graphviz rendering of one result
 //	migpipe -script resyn5                    # resyn plus 5-input functional hashing
 //	migpipe -script resyn-x                   # choice-aware rewriting + global extraction
-//	migpipe -script resyn5 -cachefile npn.cache -synth-budget 2s
+//	migpipe -script resyn5 -cachefile npn.cache -synth-conflicts 20000
 //	migpipe -url http://localhost:8080 -script resyn  # optimize remotely over HTTP
 //	migpipe -script resyn5 -trace trace.json  # Chrome/Perfetto trace of the run
 //	migpipe -scripts                          # list available scripts
@@ -38,8 +38,8 @@
 // extends functional hashing to five-leaf cuts, and an "x" suffix
 // (resyn-x, depth-x, TFx, TF5x, …) switches to choice-aware extraction.
 // The NPN classes of five-leaf cuts are not precomputed but learned —
-// synthesized on first contact by the SAT engine under the budget of
-// -synth-conflicts/-synth-budget, memoized by semi-canonical class, and
+// synthesized on first contact by the SAT engine under the conflict
+// budget of -synth-conflicts, memoized by semi-canonical class, and
 // persisted through -cachefile: the learned store is warm-started from
 // the snapshot at that path (when it exists) and saved back after the
 // run, so a warm rerun re-synthesizes nothing; the optimized graphs are
@@ -200,7 +200,6 @@ func main() {
 		retries    = flag.Int("retries", 4, "with -url: extra attempts after a transient failure (connect error, 503, other 5xx); 0 = fail fast")
 		out        = flag.String("out", "", "write the optimized graph of a single local job to this file (.bench: BENCH, .dot: DOT, else MIG text)")
 		synthConfl = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
-		synthTime  = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none; trades determinism for latency)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 	)
 	flag.Parse()
@@ -229,7 +228,7 @@ func main() {
 		// The differential harness re-checks every pass of every iteration
 		// of every job against its input graph; one harness spans the whole
 		// batch so counterexamples sharpen later checks.
-		harness = diff.New(diff.Options{})
+		harness = diff.New()
 		p.PassCheck = harness.PassCheck
 	}
 
@@ -250,7 +249,7 @@ func main() {
 		ctx, rootSpan = obs.Start(ctx, "migpipe")
 		rootSpan.SetStr("script", p.Name)
 	}
-	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl, Timeout: *synthTime})
+	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl})
 	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
 	if *url != "" {
 		// The engine-local store flags never reach the server; warn
@@ -258,8 +257,8 @@ func main() {
 		if *cacheFile != "" {
 			log.Printf("warning: -cachefile is ignored with -url (persist the store server-side with migserve -cache-file)")
 		}
-		if *synthConfl != 0 || *synthTime != 0 {
-			log.Printf("warning: -synth-conflicts/-synth-budget are ignored with -url (tune the server with migserve -synth-*)")
+		if *synthConfl != 0 {
+			log.Printf("warning: -synth-conflicts is ignored with -url (tune the server with migserve -synth-*)")
 		}
 	}
 	start := time.Now()
@@ -314,7 +313,7 @@ func main() {
 			// failures do not pollute the run's counters: the harness must
 			// refute ground-truth-inequivalent mutants of every job, or the
 			// zero-failure report above is not worth much.
-			calib := diff.New(diff.Options{})
+			calib := diff.New()
 			const mutantsPerJob = 4
 			for _, j := range jobs {
 				n := calib.Calibrate(j.M, mutantsPerJob)

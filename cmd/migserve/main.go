@@ -17,19 +17,16 @@
 // restored on startup (a corrupt file degrades to a cold store with a
 // logged error), re-written every -cache-snapshot interval, and drained
 // to disk one final time during SIGTERM shutdown.
-// -synth-conflicts/-synth-budget/-synth-gates bound each 5-input class's
-// first-contact synthesis, -synth-limit bounds the learned classes with
-// second-chance eviction, and request deadlines cancel in-flight ladders.
+// -synth-conflicts/-synth-gates bound each 5-input class's first-contact
+// synthesis (a class that blows the budget is negative-cached once), and
+// request deadlines cancel in-flight ladders without poisoning the class.
 //
 // The service degrades rather than dies: handler and per-job panics are
 // caught, counted and answered with a 500 naming the request ID; every
 // 503 (saturated pool or the admission-control watermark shedding
-// requests that cannot meet their deadline) carries a Retry-After hint;
-// and -breaker-failures arms a circuit breaker that pauses 5-input
-// exact synthesis after that many consecutive failed ladders, resolving
-// lookups as plain misses until -breaker-cooldown expires (results stay
-// correct — only the optional 5-cut replacements pause). -fault arms
-// named failpoints for chaos testing and must never reach production.
+// requests that cannot meet their deadline) carries a Retry-After hint.
+// -fault arms named failpoints for chaos testing and must never reach
+// production.
 // The full failure-mode table is in ARCHITECTURE.md ("Failure modes &
 // degraded states").
 //
@@ -87,11 +84,7 @@ func main() {
 		cacheFile   = flag.String("cache-file", "", "persist the learned 5-input store to this snapshot file")
 		cacheSnap   = flag.Duration("cache-snapshot", 0, "periodic snapshot interval (0 = 5m, <0 = shutdown-only)")
 		synthConfl  = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
-		synthTime   = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none)")
 		synthGates  = flag.Int("synth-gates", 0, "ladder cap of 5-input exact synthesis (0 = default)")
-		synthLimit  = flag.Int("synth-limit", 0, "bound on learned 5-input classes, second-chance evicted (0 = unbounded)")
-		brkFails    = flag.Int("breaker-failures", 0, "consecutive failed synthesis ladders that trip the exact5 circuit breaker (0 = breaker off)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "how long a tripped exact5 breaker stays open (0 = 30s default)")
 		faultSpec   = flag.String("fault", "", "DEV ONLY: arm failpoints, e.g. 'db/snapshot-rename=return;server/shed=0.1*return' (see internal/fault)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		traceDir    = flag.String("trace-dir", "", "write one Chrome trace-event JSON per optimization request into this directory")
@@ -120,12 +113,8 @@ func main() {
 		CacheFile:             *cacheFile,
 		CacheSnapshotInterval: *cacheSnap,
 		Synth5: db.OnDemandOptions{
-			MaxConflicts:    *synthConfl,
-			Timeout:         *synthTime,
-			MaxGates:        *synthGates,
-			Limit:           *synthLimit,
-			BreakerFailures: *brkFails,
-			BreakerCooldown: *brkCooldown,
+			MaxConflicts: *synthConfl,
+			MaxGates:     *synthGates,
 		},
 		TraceDir:    *traceDir,
 		SlowRequest: *slowLog,

@@ -23,8 +23,9 @@
 // at any worker count), memoizes the entry, and negative-caches classes
 // that blow the budget so hopeless ladders run once. An in-flight gate
 // deduplicates concurrent first contacts per class, and a caller's
-// context cancels its ladder without poisoning the class. SetLimit
-// (evict5.go) bounds the learned classes with a second-chance clock.
+// context cancels its ladder without poisoning the class. The budget is
+// the store's only policy: nothing it holds depends on wall time or on
+// lookup order, and nothing is evicted.
 //
 // The learned store outlives the process: WriteSnapshot/ReadSnapshot
 // (persist.go) serialize it as a versioned, checksummed binary stream of

@@ -47,7 +47,7 @@ func TestExtractionSuiteMetamorphic(t *testing.T) {
 				t.Errorf("extraction ended worse than greedy: %d > %d gates",
 					x1.Size(), greedy.Size())
 			}
-			h := diff.New(diff.Options{})
+			h := diff.New()
 			if err := h.Check(m, x1); err != nil {
 				t.Errorf("extraction result not sim-equivalent to input: %v", err)
 			}

@@ -23,7 +23,7 @@ func TestPresetsMetamorphic(t *testing.T) {
 	m0 := spec.Build()
 	for _, name := range []string{"resyn", "size", "depth", "quick", "resyn5", "size5", "resyn-x", "depth-x"} {
 		t.Run(name, func(t *testing.T) {
-			h := diff.New(diff.Options{})
+			h := diff.New()
 			run := func(m *mig.MIG) *mig.MIG {
 				p, err := Preset(name)
 				if err != nil {

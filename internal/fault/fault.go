@@ -11,10 +11,9 @@ import (
 	"time"
 )
 
-// ErrInjected is the root of every error a failpoint returns: callers
-// that need to tell an injected failure from an organic one (the exact5
-// circuit breaker, tests asserting degraded paths) match it with
-// errors.Is. Production code must never special-case it for correctness —
+// ErrInjected is the root of every error a failpoint returns: tests
+// asserting degraded paths tell an injected failure from an organic one
+// with errors.Is. Production code must never special-case it —
 // an injected error has to travel the same degradation path a real one
 // would, or the injection proves nothing.
 var ErrInjected = errors.New("fault: injected")

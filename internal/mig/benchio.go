@@ -118,7 +118,16 @@ const maxBenchLine = 1<<24 - 1
 // until no line can be built, but the rounds are computed up front, so
 // parsing takes time linear in the size of the netlist whatever the
 // order of its lines.
-func ReadBENCH(r io.Reader) (*MIG, error) {
+func ReadBENCH(r io.Reader) (*MIG, error) { return ReadBENCHLimit(r, -1) }
+
+// ReadBENCHLimit is ReadBENCH with a size limit for untrusted input. It
+// counts what the netlist declares: its INPUT lines plus the gates its
+// gate lines lower to (1 per MAJ, k−1 per k-operand AND, OR, NAND or
+// NOR, 3(k−1) per k-operand XOR or XNOR, none otherwise), which the
+// built graph can never exceed. The scan stops with a *SizeError on the
+// line where the count passes limit, before any graph is built. A
+// negative limit disables the check.
+func ReadBENCHLimit(r io.Reader, limit int) (*MIG, error) {
 	var sb strings.Builder
 	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, err
@@ -127,7 +136,7 @@ func ReadBENCH(r io.Reader) (*MIG, error) {
 		return nil, fmt.Errorf("mig: bench netlist of %d bytes exceeds the 2 GiB limit", sb.Len())
 	}
 	var n benchNetlist
-	if err := n.scan(sb.String()); err != nil {
+	if err := n.scan(sb.String(), limit); err != nil {
 		return nil, err
 	}
 	return n.build()
@@ -237,16 +246,24 @@ type benchNetlist struct {
 	// not supported, by gate index; the error is reported only if the
 	// line is reached in build order.
 	unsupported map[int32]string
-	majs        int // MAJ lines: the gates a written netlist builds
+	declared    int // gates the gate lines lower to; see ReadBENCHLimit
 }
 
-// scan reads every line of src in one pass.
-func (n *benchNetlist) scan(src string) error {
+// scan reads every line of src in one pass, failing with a *SizeError
+// once the inputs and declared gates pass limit (if limit >= 0).
+func (n *benchNetlist) scan(src string, limit int) error {
 	lines := strings.Count(src, "\n") + 1
+	args := lines + strings.Count(src, ",")
+	if limit >= 0 {
+		// Presize for limit+1 lines of up to three operands, not for the
+		// whole body: a netlist over the limit is refused before it fills
+		// them, and appends grow them for lines that count no gate.
+		lines, args = min(lines, limit+1), min(args, 3*(limit+1))
+	}
 	n.index = make(map[string]int32, lines)
 	n.syms = make([]benchSym, 0, lines)
 	n.gates = make([]benchGate, 0, lines)
-	n.args = make([]int32, 0, lines+strings.Count(src, ","))
+	n.args = make([]int32, 0, args)
 	lineNo := 0
 	for rest := src; rest != ""; {
 		lineNo++
@@ -278,6 +295,9 @@ func (n *benchNetlist) scan(src string) error {
 			if err := n.scanGate(line, lineNo); err != nil {
 				return err
 			}
+		}
+		if limit >= 0 && len(n.inputs)+n.declared > limit {
+			return &SizeError{Inputs: len(n.inputs), Gates: n.declared, Limit: limit}
 		}
 	}
 	return nil
@@ -312,9 +332,14 @@ func (n *benchNetlist) scanGate(line string, lineNo int) error {
 	}
 	g.hi = int32(len(n.args))
 	gi := int32(len(n.gates))
+	k := int(g.hi - g.lo)
 	switch g.op = parseBenchOp(opText); g.op {
 	case opMaj:
-		n.majs++
+		n.declared++
+	case opAnd, opOr, opNand, opNor:
+		n.declared += max(k-1, 0)
+	case opXor, opXnor:
+		n.declared += 3 * max(k-1, 0)
 	case opUnsupported:
 		if n.unsupported == nil {
 			n.unsupported = map[int32]string{}
@@ -404,7 +429,7 @@ func (n *benchNetlist) schedule() int32 {
 // then checks for unbuildable lines and connects the outputs.
 func (n *benchNetlist) build() (*MIG, error) {
 	m := New(len(n.inputs))
-	m.reserve(n.majs)
+	m.reserve(n.declared)
 	for i, s := range n.inputs {
 		n.syms[s].val, n.syms[s].set = m.Input(i), true
 	}

@@ -2,13 +2,16 @@ package mig
 
 // The BENCH codec against its reference (benchio_ref_test.go): the writer
 // byte for byte, the reader on acceptance and node for node, including
-// forward references in any line order, plus the linear-time and
-// allocation pins.
+// forward references in any line order, plus the linear-time, size-limit
+// and allocation pins.
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +251,63 @@ func TestReadBENCHReverseOrderIsLinear(t *testing.T) {
 	}
 }
 
+// chainedMAJ returns a BENCH netlist of at least size bytes: 64 inputs
+// and a chain of MAJ lines, each taking the previous gate and two inputs.
+func chainedMAJ(size int) string {
+	var b []byte
+	for i := 0; i < 64; i++ {
+		b = append(strconv.AppendInt(append(b, "INPUT(x"...), int64(i), 10), ")\n"...)
+	}
+	b = append(b, "OUTPUT(g0)\ng0 = MAJ(x0, x1, x2)\n"...)
+	for i := 1; len(b) < size; i++ {
+		b = strconv.AppendInt(append(b, 'g'), int64(i), 10)
+		b = strconv.AppendInt(append(b, " = MAJ(g"...), int64(i-1), 10)
+		b = strconv.AppendInt(append(b, ", x"...), int64(i%64), 10)
+		b = strconv.AppendInt(append(b, ", x"...), int64((i+7)%64), 10)
+		b = append(b, ")\n"...)
+	}
+	return string(b)
+}
+
+// readCost returns the time and bytes ReadBENCHLimit took on src, and
+// its error.
+func readCost(src string, limit int) (time.Duration, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := ReadBENCHLimit(strings.NewReader(src), limit)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return elapsed, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestReadBENCHLimitStopsEarly: a 16 MiB body of chained MAJ lines is
+// refused under a limit of 1000 at the line that passes it, for at most
+// a tenth of the time and a quarter of the bytes of reading it whole.
+func TestReadBENCHLimitStopsEarly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads a 16 MiB netlist")
+	}
+	src := chainedMAJ(16<<20 - 64)
+	full, fullBytes, err := readCost(src, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, limitedBytes := time.Duration(1<<62), uint64(0)
+	for i := 0; i < 3; i++ {
+		d, b, err := readCost(src, 1000)
+		var se *SizeError
+		if !errors.As(err, &se) || se.Limit != 1000 || se.Inputs+se.Gates != 1001 {
+			t.Fatalf("error %v, want a *SizeError at 1001 inputs and gates", err)
+		}
+		limited, limitedBytes = min(limited, d), b
+	}
+	t.Logf("whole read %v, %d bytes; refused under 1000: %v, %d bytes", full, fullBytes, limited, limitedBytes)
+	if limited > full/10 || limitedBytes > fullBytes/4 {
+		t.Errorf("refusal took %v and %d bytes against %v and %d for the whole read", limited, limitedBytes, full, fullBytes)
+	}
+}
+
 // TestReadBENCHLineLimit: like the line scanner the reference reads with,
 // the reader takes a line of maxBenchLine bytes and rejects a longer one
 // with bufio.ErrTooLong.
@@ -308,6 +368,26 @@ func FuzzReadBENCH(f *testing.F) {
 		}
 		if textForm(got) != textForm(want) {
 			t.Fatalf("graph differs from the reference parse")
+		}
+		// The declared count bounds the built graph, and a limit either
+		// refuses the netlist with a *SizeError or reads the same graph.
+		var n benchNetlist
+		if err := n.scan(src, -1); err != nil {
+			t.Fatalf("rescan: %v", err)
+		}
+		if got.NumGates() > n.declared {
+			t.Fatalf("built %d gates, declared %d", got.NumGates(), n.declared)
+		}
+		total := len(n.inputs) + n.declared
+		for _, limit := range []int{0, total / 2, max(total-1, 0), total} {
+			lm, err := ReadBENCHLimit(strings.NewReader(src), limit)
+			var se *SizeError
+			switch {
+			case limit < total && !errors.As(err, &se):
+				t.Fatalf("limit %d below %d declared: error %v, want a *SizeError", limit, total, err)
+			case limit >= total && (err != nil || textForm(lm) != textForm(got)):
+				t.Fatalf("limit %d at %d declared: error %v or a different graph", limit, total, err)
+			}
 		}
 		first := writeBench(t, got, (*MIG).WriteBENCH)
 		canon, err := ReadBENCH(strings.NewReader(first))

@@ -117,7 +117,8 @@ func ReadTextLimit(r io.Reader, limit int) (*MIG, error) {
 }
 
 // SizeError reports a netlist with more inputs and gates together than
-// the reader's limit allows.
+// the reader's limit allows. A mig header gives both counts; a BENCH
+// reader stops counting at the line that passes the limit.
 type SizeError struct {
 	Inputs, Gates, Limit int
 }

@@ -108,7 +108,7 @@ func (r *rewriter) candidates(id mig.ID) []candidate {
 }
 
 // eachCombo invokes fn on every combination of the nodes' candidates,
-// each node contributing at most PerLeafCandidates entries. eachCombo
+// each node contributing at most perLeafCandidates entries. eachCombo
 // mutates and reuses one workspace-owned selection slice; fn must not
 // retain it.
 func (r *rewriter) eachCombo(nodes []mig.ID, fn func(sel []candidate)) {
@@ -124,10 +124,7 @@ func (r *rewriter) eachCombo(nodes []mig.ID, fn func(sel []candidate)) {
 			return
 		}
 		list := r.candidates(nodes[i])
-		limit := r.opt.PerLeafCandidates
-		if limit > len(list) {
-			limit = len(list)
-		}
+		limit := min(perLeafCandidates, len(list))
 		for j := 0; j < limit; j++ {
 			sel[i] = list[j]
 			rec(i + 1)
@@ -137,7 +134,7 @@ func (r *rewriter) eachCombo(nodes []mig.ID, fn func(sel []candidate)) {
 }
 
 // insert adds c to the size-then-depth sorted candidate list, deduplicating
-// by literal and capping at MaxCandidates.
+// by literal and capping at maxCandidates.
 func (r *rewriter) insert(list []candidate, c candidate) []candidate {
 	for _, ex := range list {
 		if ex.lit == c.lit {
@@ -152,8 +149,8 @@ func (r *rewriter) insert(list []candidate, c candidate) []candidate {
 	list = append(list, candidate{})
 	copy(list[pos+1:], list[pos:])
 	list[pos] = c
-	if len(list) > r.opt.MaxCandidates {
-		list = list[:r.opt.MaxCandidates]
+	if len(list) > maxCandidates {
+		list = list[:maxCandidates]
 	}
 	return list
 }

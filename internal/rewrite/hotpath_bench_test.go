@@ -50,7 +50,7 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 		d:         d,
 		opt:       opt,
 		ws:        ws,
-		cuts:      ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: opt.MaxCuts}),
+		cuts:      ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: maxCuts}),
 		fo:        m.FanoutCounts(),
 		out:       mig.New(m.NumPIs()),
 		oldLevels: m.Levels(),

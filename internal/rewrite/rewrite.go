@@ -32,10 +32,6 @@ type Options struct {
 	// root's current level, which also catches the individual-path
 	// enlargement the paper warns about.
 	DepthPreserve bool
-	// AllowZeroGain also applies replacements with zero size gain when
-	// they locally reduce depth. Off in the paper's variants; used by the
-	// ablation benchmarks.
-	AllowZeroGain bool
 
 	// K selects the functional-hashing cut width: 4 (the paper's setting,
 	// default) or 5. At K = 5 enumeration additionally yields five-leaf
@@ -63,15 +59,6 @@ type Options struct {
 	// be used by two concurrent Runs.
 	Workspace *Workspace
 
-	// MaxCuts caps the per-node cut sets (default 24).
-	MaxCuts int
-	// MaxCandidates caps the bottom-up candidate lists (default 8),
-	// mirroring priority cuts in technology mapping.
-	MaxCandidates int
-	// PerLeafCandidates caps how many candidates of each cut leaf are
-	// combined in Algorithm 2 line 7 (default 2).
-	PerLeafCandidates int
-
 	// Extract switches the top-down variants from greedy per-cut commits
 	// to choice-aware extraction: evaluation records every profitable
 	// (cut, candidate) pair — including the database's alternative
@@ -84,12 +71,23 @@ type Options struct {
 	// default; extract.Depth trades gates for shorter critical paths).
 	// Only read when Extract is set.
 	ExtractObjective extract.Objective
-	// MaxChoices caps the recorded (cut, candidate) pairs per node
-	// (default 16). The greedy twin is computed uncapped, so tightening
-	// the cap can only reduce the extraction's menu, never the
-	// never-worse guarantee.
-	MaxChoices int
 }
+
+// The rewriter's fixed caps.
+const (
+	// maxCuts caps the per-node cut sets.
+	maxCuts = 24
+	// maxCandidates caps the bottom-up candidate lists, mirroring
+	// priority cuts in technology mapping.
+	maxCandidates = 8
+	// perLeafCandidates caps how many candidates of each cut leaf are
+	// combined in Algorithm 2 line 7.
+	perLeafCandidates = 2
+	// maxChoices caps the recorded (cut, candidate) pairs per node. The
+	// greedy twin is computed uncapped, so the cap can only reduce the
+	// extraction's menu, never the never-worse guarantee.
+	maxChoices = 16
+)
 
 // The paper's five experiment variants (Sec. V, Tables III and IV).
 var (
@@ -175,18 +173,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
-	}
-	if o.MaxCuts == 0 {
-		o.MaxCuts = 24
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 8
-	}
-	if o.PerLeafCandidates == 0 {
-		o.PerLeafCandidates = 2
-	}
-	if o.MaxChoices == 0 {
-		o.MaxChoices = 16
 	}
 	if o.BottomUp {
 		o.Extract = false // candidate lists already explore tradeoffs per FFR
@@ -309,7 +295,7 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		d:         d,
 		opt:       opt,
 		ws:        ws,
-		cuts:      ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: opt.MaxCuts}),
+		cuts:      ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: maxCuts}),
 		fo:        m.FanoutCounts(),
 		out:       mig.New(m.NumPIs()),
 		oldLevels: m.Levels(),
@@ -588,19 +574,18 @@ func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 // bestCut is the one per-node evaluation of a top-down pass. It runs v's
 // cut loop once and memoizes Algorithm 1's decision in ws.best[v]: the
 // replacement saving the most gates, ties to the shallower structure,
-// the first cut winning exact ties. Zero-gain replacements are taken only
-// under AllowZeroGain and only when they reduce v's arrival, and
-// DepthPreserve drops any that would delay it.
+// the first cut winning exact ties. Only replacements that save a gate
+// are taken, and DepthPreserve drops any that would delay v.
 //
 // With Options.Extract the same loop also records v's menu in
 // ws.choices[v]: every candidate implementation of every admissible cut,
 // priced at its effective cost. A candidate whose nominal size exceeds
 // the cone is still admitted when enough of its gates already exist
 // outside the cone — greedy must skip those, but the extractor may find
-// they make the global cover cheaper — and zero-gain entries are recorded
-// regardless of AllowZeroGain, since locally neutral choices are exactly
-// the ones global sharing can turn profitable. The menu caps itself at
-// Options.MaxChoices; the greedy decision is uncapped.
+// they make the global cover cheaper — and zero-gain entries are
+// recorded too, since locally neutral choices are exactly the ones
+// global sharing can turn profitable. The menu caps itself at
+// maxChoices; the greedy decision is uncapped.
 //
 // bestCut is a pure function of v over the input graph, so evaluating
 // every gate up front (choice mode) or on first visit (greedy) decides
@@ -615,7 +600,7 @@ func (r *rewriter) bestCut(v mig.ID) {
 	r.eachCut(v, func(rep replacement, cone []mig.ID) {
 		e := rep.entry
 		if r.opt.Extract {
-			for ci := 0; ci < e.NumCandidates() && len(menu) < r.opt.MaxChoices; ci++ {
+			for ci := 0; ci < e.NumCandidates() && len(menu) < maxChoices; ci++ {
 				cand := e.Candidate(ci)
 				eff := r.effectiveCost(cand, rep.tr, rep.leaves, cone)
 				if len(cone)-int(eff) < 0 {
@@ -628,14 +613,11 @@ func (r *rewriter) bestCut(v mig.ID) {
 			}
 		}
 		gain := len(cone) - e.Size()
-		if gain < 0 || (gain == 0 && !r.opt.AllowZeroGain) {
+		if gain <= 0 {
 			return
 		}
 		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves) > r.oldLevels[v] {
 			return
-		}
-		if gain == 0 && r.arrivalOf(e, rep.tr, rep.leaves) >= r.oldLevels[v] {
-			return // zero-gain replacements must at least reduce arrival
 		}
 		if best.entry == nil || gain > best.gain || (gain == best.gain && e.Depth < best.entry.Depth) {
 			best = candidateCut{rep, gain}

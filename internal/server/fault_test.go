@@ -189,9 +189,6 @@ func TestMetricsExposeRobustnessSeries(t *testing.T) {
 		"migserve_handler_panics_total",
 		"migserve_job_panics_total",
 		"migserve_cache_snapshot_consecutive_errors",
-		"migserve_exact5_breaker_state",
-		"migserve_exact5_breaker_trips_total",
-		"migserve_exact5_breaker_skips_total",
 	} {
 		if got := metricValue(t, hs.URL, name); got != 0 {
 			t.Errorf("%s = %d on a fresh server, want 0", name, got)

@@ -123,18 +123,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		vals["migserve_cache_snapshot_entries"] = m.snapshotEntries.Load()
 		vals["migserve_cache_snapshot_consecutive_errors"] = m.snapshotConsecErr.Load()
 	}
-	// The on-demand 5-input store: learned classes (gauge), ladders run,
-	// ladders that failed, and the synthesis circuit breaker (state is a
-	// gauge: 0 closed, 1 half-open, 2 open; pinned 0 when disabled).
+	// The on-demand 5-input store: learned classes and their candidate
+	// menus (gauges), ladders run, and ladders that blew the conflict or
+	// gate budget (named synth_timeouts for the dashboards that read it).
 	vals["migserve_exact5_entries"] = int64(s.exact5.Len())
 	vals["migserve_exact5_synth_total"] = int64(s.exact5.Synths())
 	vals["migserve_exact5_synth_timeouts"] = int64(s.exact5.Failures())
-	vals["migserve_exact5_breaker_state"] = int64(s.exact5.BreakerState())
-	vals["migserve_exact5_breaker_trips_total"] = int64(s.exact5.BreakerTrips())
-	vals["migserve_exact5_breaker_skips_total"] = int64(s.exact5.BreakerSkips())
-	// Store bounding (gauge limit, 0 = unbounded) and candidate menus.
-	vals["migserve_exact5_limit"] = int64(s.exact5.Limit())
-	vals["migserve_exact5_evictions_total"] = int64(s.exact5.Evictions())
 	vals["migserve_exact5_candidates"] = int64(s.exact5.Candidates())
 	// Choice-aware extraction traffic of completed jobs.
 	vals["migserve_extract_choices_total"] = m.extractChoices.Load()

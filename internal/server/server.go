@@ -36,9 +36,10 @@ type Config struct {
 	// MaxGates rejects netlists with more inputs and gates together than
 	// this with 413 (the cheap byte cap cannot see how a netlist expands
 	// — XOR-heavy BENCH files grow 3× when lowered to majority gadgets,
-	// and an 18-byte mig header can declare ten million inputs). A mig
-	// header is checked before anything is built; a BENCH netlist is
-	// checked once parsed. Default 2,000,000; negative disables the
+	// and an 18-byte mig header can declare ten million inputs). Both
+	// readers count what the netlist declares and stop before building
+	// anything over the cap: a mig header at once, a BENCH netlist at
+	// the line that passes it. Default 2,000,000; negative disables the
 	// check.
 	MaxGates int
 	// DefaultTimeout bounds a request that does not ask for a deadline of
@@ -561,31 +562,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// parseNetlist parses one job's netlist and enforces the size cap; a
-// netlist over the cap fails with a *mig.SizeError.
+// parseNetlist parses one job's netlist under the size cap: both readers
+// fail with a *mig.SizeError before building a netlist over the cap.
 func (s *Server) parseNetlist(netlist, format string) (*mig.MIG, error) {
 	if strings.TrimSpace(netlist) == "" {
 		return nil, fmt.Errorf("empty netlist")
 	}
-	var (
-		m   *mig.MIG
-		err error
-	)
 	switch format {
 	case "", "bench":
-		m, err = mig.ReadBENCH(strings.NewReader(netlist))
+		return mig.ReadBENCHLimit(strings.NewReader(netlist), s.cfg.MaxGates)
 	case "mig":
-		m, err = mig.ReadTextLimit(strings.NewReader(netlist), s.cfg.MaxGates)
+		return mig.ReadTextLimit(strings.NewReader(netlist), s.cfg.MaxGates)
 	default:
 		return nil, fmt.Errorf("unknown netlist format %q (want \"bench\" or \"mig\")", format)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.MaxGates >= 0 && m.NumPIs()+m.NumGates() > s.cfg.MaxGates {
-		return nil, &mig.SizeError{Inputs: m.NumPIs(), Gates: m.NumGates(), Limit: s.cfg.MaxGates}
-	}
-	return m, nil
 }
 
 // writeNetlist renders m in the request's format.
@@ -733,7 +723,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, req BatchRequest, b
 		// The differential harness re-checks every executed pass against
 		// its input graph; an offending pass fails its job with the pass
 		// name and counterexample in-band.
-		p.PassCheck = diff.New(diff.Options{}).PassCheck
+		p.PassCheck = diff.New().PassCheck
 	}
 	jobs := make([]engine.Job, len(req.Jobs))
 	for i, j := range req.Jobs {

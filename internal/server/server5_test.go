@@ -83,6 +83,8 @@ func TestOptimize5EndToEnd(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
+	// synth_timeouts keeps its name for dashboards; it counts the
+	// ladders that blew the conflict or gate budget.
 	for _, metric := range []string{
 		"migserve_exact5_entries", "migserve_exact5_synth_total", "migserve_exact5_synth_timeouts",
 	} {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -320,6 +321,53 @@ func TestOversizedMIGHeader(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 			t.Errorf("%q: the request allocated %d bytes", c.netlist, grew)
 		}
+	}
+}
+
+// TestOversizedBENCHBody: a 4 MiB BENCH body of chained MAJ lines over
+// MaxGates is a 413 whose parse allocates about one copy of the body,
+// not the graph the body declares: the reader stops at the line that
+// passes the cap. The same body under an unknown format, refused before
+// parsing, measures what decoding the request costs either way.
+func TestOversizedBENCHBody(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxGates: 1000})
+	var b []byte
+	for i := 0; i < 64; i++ {
+		b = fmt.Appendf(b, "INPUT(x%d)\n", i)
+	}
+	b = append(b, "OUTPUT(g0)\ng0 = MAJ(x0, x1, x2)\n"...)
+	for i := 1; len(b) < 4<<20; i++ {
+		b = fmt.Appendf(b, "g%d = MAJ(g%d, x%d, x%d)\n", i, i-1, i%64, (i+7)%64)
+	}
+	post := func(format string) (int, string, uint64) {
+		raw, err := json.Marshal(OptimizeRequest{Netlist: string(b), Format: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(hs.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out := decodeBody[errorResponse](t, resp)
+		runtime.ReadMemStats(&after)
+		return resp.StatusCode, out.Error, after.TotalAlloc - before.TotalAlloc
+	}
+	post("blif") // opens the keep-alive connection the measured requests reuse
+	status, msg, decode := post("blif")
+	if status != http.StatusBadRequest {
+		t.Fatalf("unknown format: status = %d (%s), want 400", status, msg)
+	}
+	status, msg, total := post("bench")
+	if status != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "inputs and gates") {
+		t.Fatalf("status = %d (%s), want 413", status, msg)
+	}
+	parse := int64(total) - int64(decode)
+	t.Logf("%d-byte netlist: request %d bytes, of which decoding %d and parsing %d", len(b), total, decode, parse)
+	if parse > 2*int64(len(b)) {
+		t.Errorf("parsing a refused %d-byte netlist allocated %d bytes", len(b), parse)
 	}
 }
 

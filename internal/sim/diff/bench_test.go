@@ -9,18 +9,18 @@ import (
 	"mighash/internal/sim/diff"
 )
 
-// BenchmarkHarnessCheck times one per-pass check at the harness's
-// default budget on the 512-input, 1536-gate cone of output 0 of the
-// prepared Max: the widest cone the service verifies, and the check it
-// runs after every pass of a verify_mode "sim" request. The harness is
-// warmed first, so steady-state allocations show.
+// BenchmarkHarnessCheck times one per-pass check on the 512-input,
+// 1536-gate cone of output 0 of the prepared Max: the widest cone the
+// service verifies, and the check it runs after every pass of a
+// verify_mode "sim" request. The harness is warmed first, so
+// steady-state allocations show.
 func BenchmarkHarnessCheck(b *testing.B) {
 	spec, ok := circuits.ByName("Max")
 	if !ok {
 		b.Fatal("Max benchmark missing")
 	}
 	cone := engine.ExtractCone(exp.PrepareStart(spec), 0)
-	h := diff.New(diff.Options{})
+	h := diff.New()
 	if err := h.Check(cone, cone); err != nil {
 		b.Fatal(err)
 	}

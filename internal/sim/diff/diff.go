@@ -10,21 +10,12 @@ import (
 	"mighash/internal/sim"
 )
 
-// DefaultPatterns is the per-check sweep budget. Per-pass checks run at
-// pipeline volume (every pass × every iteration × every job), so the
-// default is half the SAT prefilter's: still thousands of guided
-// patterns, still microseconds per gate.
-const DefaultPatterns = 1024
-
-// Options tunes a Harness.
-type Options struct {
-	// Patterns per check, rounded up to a multiple of 64. Zero means
-	// DefaultPatterns.
-	Patterns int
-	// Seed makes the random pattern tail reproducible; harnesses with the
-	// same seed perform bit-identical sweeps.
-	Seed uint64
-}
+// RandomPatterns is how many pseudo-random patterns a check simulates
+// after the structural prefix of the pool's ladder (constants, recorded
+// counterexamples, walking one-hot and one-cold; sim.Pool). Per-pass
+// checks run at pipeline volume (every pass × every iteration × every
+// job), so this is half the SAT prefilter's default budget.
+const RandomPatterns = 1024
 
 // Stats is a snapshot of a harness's counters.
 type Stats struct {
@@ -55,8 +46,6 @@ func (s Stats) PatternsPerSecond() float64 {
 // verifying one job sharpens every later check of every other job. All
 // methods are safe for concurrent use.
 type Harness struct {
-	opt Options
-
 	mu    sync.Mutex
 	pools map[int]*sim.Pool
 
@@ -66,12 +55,9 @@ type Harness struct {
 	elapsed  atomic.Int64 // ns
 }
 
-// New returns a harness with the given options.
-func New(opt Options) *Harness {
-	if opt.Patterns <= 0 {
-		opt.Patterns = DefaultPatterns
-	}
-	return &Harness{opt: opt, pools: make(map[int]*sim.Pool)}
+// New returns an empty harness.
+func New() *Harness {
+	return &Harness{pools: make(map[int]*sim.Pool)}
 }
 
 // pool returns the shared pattern pool for circuits with n inputs.
@@ -80,7 +66,7 @@ func (h *Harness) pool(n int) *sim.Pool {
 	defer h.mu.Unlock()
 	p, ok := h.pools[n]
 	if !ok {
-		p = sim.NewPool(n, h.opt.Seed)
+		p = sim.NewPool(n, 0)
 		h.pools[n] = p
 	}
 	return p
@@ -91,11 +77,17 @@ func (h *Harness) pool(n int) *sim.Pool {
 // counterexample otherwise; the counterexample is also recorded in the
 // width's pool for every later check. Refute-only: a nil error is
 // evidence, not proof.
+//
+// The batch is the width's whole structural prefix plus RandomPatterns,
+// rounded up to a multiple of 64, so a wide cone gets its random
+// patterns too: from 511 inputs up, the prefix alone fills 1,024
+// patterns.
 func (h *Harness) Check(before, after *mig.MIG) error {
 	start := time.Now()
+	pool := h.pool(before.NumPIs())
 	eq, ce, st, err := mig.EquivalentOpt(before, after, mig.EquivOptions{
-		SimPatterns: h.opt.Patterns,
-		Pool:        h.pool(before.NumPIs()),
+		SimPatterns: 2 + pool.Counterexamples() + 2*pool.NumPIs() + RandomPatterns,
+		Pool:        pool,
 		NoSAT:       true,
 	})
 	h.checks.Add(1)

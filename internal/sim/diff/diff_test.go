@@ -16,7 +16,7 @@ func adder() *mig.MIG {
 }
 
 func TestCheckPassesOnEquivalent(t *testing.T) {
-	h := diff.New(diff.Options{})
+	h := diff.New()
 	m := adder()
 	if err := h.Check(m, m.Clone()); err != nil {
 		t.Fatalf("clone refuted: %v", err)
@@ -25,13 +25,14 @@ func TestCheckPassesOnEquivalent(t *testing.T) {
 	if st.Checks != 1 || st.Failures != 0 {
 		t.Fatalf("stats = %+v, want 1 check, 0 failures", st)
 	}
-	if st.Patterns < diff.DefaultPatterns {
-		t.Fatalf("swept %d patterns, want >= %d", st.Patterns, diff.DefaultPatterns)
+	// The structural prefix, then the random patterns.
+	if want := 2 + 2*m.NumPIs() + diff.RandomPatterns; st.Patterns < int64(want) {
+		t.Fatalf("swept %d patterns, want >= %d", st.Patterns, want)
 	}
 }
 
 func TestCheckRefutesMutant(t *testing.T) {
-	h := diff.New(diff.Options{})
+	h := diff.New()
 	m := adder()
 	err := h.Check(m, diff.Mutant(m, 3))
 	if err == nil {
@@ -39,6 +40,27 @@ func TestCheckRefutesMutant(t *testing.T) {
 	}
 	if st := h.Stats(); st.Failures != 1 {
 		t.Fatalf("stats = %+v, want 1 failure", st)
+	}
+}
+
+// TestCheckRefutesWideConeMutant: on a 512-input cone the walking
+// patterns alone fill 1,026 slots, and a mutant that differs only where
+// two inputs are set and two others clear escapes every structural
+// pattern, so only the random patterns after the prefix can refute it.
+func TestCheckRefutesWideConeMutant(t *testing.T) {
+	const n = 512
+	m := mig.New(n)
+	out := m.Input(0)
+	for i := 1; i < n; i++ {
+		out = m.And(out, m.Input(i))
+	}
+	m.AddOutput(out)
+	mut := m.Clone()
+	x := func(i int) mig.Lit { return mut.Input(i) }
+	term := mut.And(mut.And(x(0), x(1)), mut.And(x(2).Not(), x(3).Not()))
+	mut.SetOutput(0, mut.Or(mut.Output(0), term))
+	if err := diff.New().Check(m, mut); err == nil {
+		t.Fatal("mutant ORed with x0·x1·¬x2·¬x3 not refuted at 512 inputs")
 	}
 }
 
@@ -59,7 +81,7 @@ func TestMutantGroundTruth(t *testing.T) {
 
 func TestCalibrate(t *testing.T) {
 	for _, spec := range circuits.All() {
-		h := diff.New(diff.Options{})
+		h := diff.New()
 		m := spec.Build()
 		const n = 8
 		if got := h.Calibrate(m, n); got != n {
@@ -69,7 +91,7 @@ func TestCalibrate(t *testing.T) {
 }
 
 func TestPassCheckNamesThePass(t *testing.T) {
-	h := diff.New(diff.Options{})
+	h := diff.New()
 	m := adder()
 	err := h.PassCheck("rewrite", 2, m, diff.Mutant(m, 0))
 	if err == nil {
@@ -86,7 +108,7 @@ func TestPassCheckNamesThePass(t *testing.T) {
 func TestHarnessVerifiesEveryPreset(t *testing.T) {
 	m := adder()
 	for _, preset := range []string{"resyn", "size", "depth", "quick", "resyn5", "size5"} {
-		h := diff.New(diff.Options{})
+		h := diff.New()
 		p, err := engine.Preset(preset)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +134,7 @@ func TestPassCheckAbortsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := diff.New(diff.Options{})
+	h := diff.New()
 	p.PassCheck = func(pass string, it int, before, after *mig.MIG) error {
 		return h.PassCheck(pass, it, before, diff.Mutant(before, 0))
 	}

@@ -13,7 +13,7 @@
 // by verifying it refutes deliberately broken graphs.
 //
 // A Harness is safe for concurrent use across batch jobs: its counters
-// are atomic and each call owns its scratch. Determinism: with a fixed
-// Options.Seed the sweep is bit-identical across runs, platforms and
-// worker counts.
+// are atomic and each call owns its scratch. Determinism: the pattern
+// pools share one fixed seed, so a sweep is bit-identical across runs,
+// platforms and worker counts.
 package diff

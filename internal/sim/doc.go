@@ -29,12 +29,13 @@
 // Cost of a check: Fill stamps the structural prefix of the ladder
 // (constants, counterexamples, walking one-hot and one-cold) one input
 // row at a time with word masks, O(NumPIs·w) word writes, and generates
-// random words only past that prefix. On a 512-input cone at the diff
-// harness's 1,024 patterns the prefix is the whole batch, and one fill
-// takes about 30 µs instead of the 2.3 ms that one closure call per
-// (pattern, input) cost (BenchmarkPoolFill, 2 vCPUs). A harness check of
-// the 1,536-gate prepared Max cone against itself (two compiles, one
-// fill, two sweeps; BenchmarkHarnessCheck) went from 2.4 ms and 373 KB to
-// about 0.17 ms and no allocation: mig's refutation takes its Workspace,
-// compiled circuits and output batches from a reuse pool.
+// random words only past that prefix. On a 512-input cone at 1,024
+// patterns the prefix is the whole batch, and one fill takes about 30 µs
+// instead of the 2.3 ms that one closure call per (pattern, input) cost
+// (BenchmarkPoolFill, 2 vCPUs). The diff harness sizes its batch as the
+// prefix plus 1,024 random patterns; its check of the 1,536-gate
+// prepared Max cone against itself (two compiles, one fill, two sweeps
+// of 2,112 patterns; BenchmarkHarnessCheck) takes about 0.29 ms and
+// allocates nothing: mig's refutation takes its Workspace, compiled
+// circuits and output batches from a reuse pool.
 package sim

@@ -253,8 +253,8 @@ type (
 	// Exact5Store is the lazy 5-input database: concurrency-safe,
 	// negative-caching budget-blown classes, cancellable per lookup.
 	Exact5Store = db.OnDemand
-	// Exact5Options tunes the per-class synthesis budget (gate ladder
-	// cap, SAT conflict budget, optional wall-clock bound).
+	// Exact5Options tunes the per-class synthesis budget: the gate
+	// ladder cap and the SAT conflict budget.
 	Exact5Options = db.OnDemandOptions
 )
 
