@@ -2,6 +2,7 @@ package depthopt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mighash/internal/mig"
@@ -50,26 +51,32 @@ func Optimize(m *mig.MIG, opt Options) (*mig.MIG, Stats) {
 	if limit < st.SizeBefore {
 		limit = st.SizeBefore
 	}
-	cur := m
+	// Every rebuild pass reuses one builder, and each graph's size and
+	// depth are known once: the input's from above, a pass result's from
+	// the pass.
+	b := &builder{out: mig.New(m.NumPIs()), limit: limit}
+	cur, size, depth := m, st.SizeBefore, st.DepthBefore
 	for pass := 0; pass < opt.MaxPasses; pass++ {
-		next := onePass(cur, limit)
+		next, nextDepth := onePass(b, cur)
+		nextSize := next.NumGates() // compacted: every gate is live
 		st.Passes = pass + 1
-		improved := next.Depth() < cur.Depth()
-		if improved || (next.Depth() == cur.Depth() && next.Size() < cur.Size()) {
-			cur = next
+		improved := nextDepth < depth
+		if improved || (nextDepth == depth && nextSize < size) {
+			cur, size, depth = next, nextSize, nextDepth
 		}
 		if !improved {
 			break
 		}
 	}
-	st.SizeAfter = cur.Size()
-	st.DepthAfter = cur.Depth()
+	st.SizeAfter = size
+	st.DepthAfter = depth
 	st.Elapsed = time.Since(start)
 	return cur, st
 }
 
 // builder tracks the output graph plus finalized arrival times and the
-// size cap of the current pass.
+// size cap of the current pass. One builder serves every pass of an
+// Optimize call.
 type builder struct {
 	out       *mig.MIG
 	levels    []int
@@ -131,10 +138,15 @@ func (b *builder) innerOf(g mig.Lit) ([3]mig.Lit, bool) {
 	return f, true
 }
 
-// onePass rebuilds m bottom-up, greedily minimizing each gate's arrival.
-func onePass(m *mig.MIG, limit int) *mig.MIG {
-	out := mig.New(m.NumPIs())
-	b := &builder{out: out, levels: make([]int, out.NumNodes()), limit: limit}
+// onePass rebuilds m bottom-up in b, greedily minimizing each gate's
+// arrival, and returns the compacted copy of the rebuild (b keeps its
+// storage for the next pass) with its depth, read off b's levels:
+// compaction keeps every live node's fanins, so it keeps their levels.
+func onePass(b *builder, m *mig.MIG) (*mig.MIG, int) {
+	b.out.Reset(m.NumPIs())
+	b.levels = slices.Grow(b.levels[:0], b.out.NumNodes())[:b.out.NumNodes()]
+	clear(b.levels)
+	b.remaining = 0
 	lmap := make([]mig.Lit, m.NumNodes())
 	lmap[0] = mig.Const0
 	for i := 0; i < m.NumPIs(); i++ {
@@ -163,11 +175,13 @@ func onePass(m *mig.MIG, limit int) *mig.MIG {
 		b.critical = slack0[id]
 		lmap[id] = rebuildGate(b, ops)
 	}
+	depth := 0
 	for _, o := range m.Outputs() {
-		b.out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
+		l := lmap[o.ID()].NotIf(o.Comp())
+		b.out.AddOutput(l)
+		depth = max(depth, b.level(l))
 	}
-	res := b.out.Compact()
-	return res
+	return b.out.Compact(), depth
 }
 
 // criticalNodes marks the gates with zero slack: level + longest path to

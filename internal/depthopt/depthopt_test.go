@@ -2,6 +2,7 @@ package depthopt
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +137,53 @@ func TestSizeFactorRespected(t *testing.T) {
 	_, st := Optimize(m, Options{SizeFactor: 1.1})
 	if limit := int(float64(st.SizeBefore) * 1.1); st.SizeAfter > limit {
 		t.Errorf("size %d exceeds budget %d", st.SizeAfter, limit)
+	}
+}
+
+// TestOptimizeResultsOwnTheirStorage: every rebuild pass of an Optimize
+// call reuses one builder, so each result must be a copy. Two results
+// are kept and re-checked after later calls: each keeps its text, is
+// well-formed, computes its input's functions and has the size and
+// depth its stats report.
+func TestOptimizeResultsOwnTheirStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type kept struct {
+		m    *mig.MIG
+		text string
+	}
+	var results []kept
+	for round := 0; round < 2; round++ {
+		m := randomMIG(rng, 5+rng.Intn(2), 80+rng.Intn(80), 3)
+		got, st := Optimize(m, Options{SizeFactor: 2})
+		if st.Passes < 2 {
+			t.Fatalf("round %d: %d passes; the builder was never reused", round, st.Passes)
+		}
+		if err := mig.Check(got); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if st.SizeAfter != got.Size() || st.DepthAfter != got.Depth() || st.SizeBefore != m.Size() || st.DepthBefore != m.Depth() {
+			t.Fatalf("round %d: stats %v disagree with the graphs (%d/%d → %d/%d)",
+				round, st, m.Size(), m.Depth(), got.Size(), got.Depth())
+		}
+		want, sim := m.Simulate(), got.Simulate()
+		for i := range want {
+			if sim[i] != want[i] {
+				t.Fatalf("round %d: output %d changed", round, i)
+			}
+		}
+		var b strings.Builder
+		if err := got.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, kept{got, b.String()})
+	}
+	for i, k := range results {
+		var b strings.Builder
+		if err := k.m.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != k.text {
+			t.Fatalf("result %d changed after a later Optimize call", i)
+		}
 	}
 }

@@ -9,9 +9,9 @@ import "slices"
 // A node is a region root if it drives a primary output or has fanout
 // other than one among the live part of the graph; every single-fanout
 // gate belongs to the region of its unique parent. Terminals are their own
-// roots. Dead nodes map to themselves.
-func (m *MIG) FFRRoots() []ID {
-	fo := m.FanoutCounts()
+// roots. Dead nodes map to themselves. fo must come from FanoutCounts of
+// the same MIG.
+func (m *MIG) FFRRoots(fo []int) []ID {
 	parent := make([]ID, len(m.fanin)) // unique parent of single-fanout nodes
 	seen := make([]bool, len(m.fanin))
 	poRef := make([]bool, len(m.fanin)) // directly drives a primary output
@@ -69,8 +69,8 @@ func (m *MIG) FFRRoots() []ID {
 // value lists the gates of the region in ascending (topological) order,
 // including the root itself.
 func (m *MIG) FFRMembers() map[ID][]ID {
-	roots := m.FFRRoots()
 	fo := m.FanoutCounts()
+	roots := m.FFRRoots(fo)
 	groups := make(map[ID][]ID)
 	for id := m.numPI + 1; id < len(m.fanin); id++ {
 		if fo[id] == 0 {

@@ -18,7 +18,14 @@
 // (commutativity), and inverter canonicalization through the self-duality
 // 〈abc〉 = ¬〈āb̄c̄〉, so structurally equivalent subgraphs are
 // automatically shared. The strash is an open-addressing table owned by
-// the graph and rebuilt on growth — no per-gate map allocations.
+// the graph — no per-gate map allocations — and built only where
+// something reads it: Compact and Clone of an unindexed graph copy the
+// gates without one, and the first Maj on such a graph indexes it. A
+// reader that probes a graph it does not build (a choice-aware rewrite
+// pass pricing candidate gates) does so through an Index it owns, so the
+// graph stays untouched. Check verifies the invariants all of this rests
+// on: fanins below their gate, and every fanin triple canonical and
+// unique.
 //
 // Besides the structure itself the package provides analysis (levels,
 // fanout counts, fanout-free regions, cone extraction), bit-parallel
@@ -31,12 +38,11 @@
 // netlist, whatever the order of its lines.
 //
 // Concurrency contract: an *MIG is NOT safe for concurrent mutation —
-// Maj, AddOutput, SetOutput and the readers that lazily touch shared
-// state must stay on one goroutine. Pure readers (Fanin, Size, Depth,
-// Levels, FanoutCounts, ConeNodes, WriteBENCH, …) are safe to call
-// concurrently on a graph no goroutine is mutating; this is what lets
-// rewriting evaluate cuts of a frozen graph in parallel. Workspace is
-// per-goroutine scratch for the epoch-stamped cone traversals
-// (ConeNodesWS and friends): one Workspace per concurrent analysis,
-// never shared.
+// Maj (which may also index the graph), AddOutput, SetOutput and Reset
+// must stay on one goroutine. Pure readers (Fanin, Size, Depth, Levels,
+// FanoutCounts, ConeNodes, Compact, Clone, Check, WriteBENCH, …) are
+// safe to call concurrently on a graph no goroutine is mutating; this is
+// what lets the concurrent runs of a batch or a server share one input.
+// Workspace and Index are per-goroutine state: one per concurrent
+// analysis, never shared.
 package mig

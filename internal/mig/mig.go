@@ -67,23 +67,38 @@ func New(numPIs int) *MIG {
 	if numPIs < 0 {
 		panic("mig: negative number of inputs")
 	}
-	m := &MIG{
-		fanin:  make([][3]Lit, 1+numPIs),
-		numPI:  numPIs,
-		strash: newStrashTable(),
+	return &MIG{fanin: make([][3]Lit, 1+numPIs), numPI: numPIs}
+}
+
+// Reset empties m into the graph New(numPIs) returns, keeping the node
+// storage and the strash slots, so a builder reused pass after pass stops
+// regrowing them. Graphs made from m by Compact or Clone own their
+// storage and are unaffected.
+func (m *MIG) Reset(numPIs int) {
+	if numPIs < 0 {
+		panic("mig: negative number of inputs")
 	}
-	return m
+	m.fanin = slices.Grow(m.fanin[:0], 1+numPIs)[:1+numPIs]
+	clear(m.fanin)
+	m.numPI = numPIs
+	m.outputs = m.outputs[:0]
+	m.strash.n = 0
+	clear(m.strash.ids)
 }
 
 // reserve makes room for gates more gates: the node storage and the
 // structural-hashing table are grown once, so building that many gates
 // neither reallocates nor rehashes. It changes no node, literal or
-// lookup result. Only Compact, which knows its exact gate count, and
-// ReadBENCH, which counts MAJ lines (exact for a written netlist), call
-// it: presizing a pass output from its input's gate count kept the
-// full-size table live for the whole pass and raised peak memory.
+// lookup result. Only ReadBENCH calls it, with the number of gates its
+// gate lines lower to (exact for a written netlist): presizing a pass
+// output from its input's gate count kept the full-size table live for
+// the whole pass and raised peak memory.
 func (m *MIG) reserve(gates int) {
 	m.fanin = slices.Grow(m.fanin, gates)
+	if m.strash.ids == nil {
+		m.strash.fill(m, gates)
+		return
+	}
 	m.strash.reserve(m.strash.n + gates)
 }
 
@@ -141,6 +156,11 @@ func (m *MIG) Maj(a, b, c Lit) Lit {
 	if done {
 		return lit
 	}
+	if m.strash.ids == nil {
+		// The first Maj on a graph New, Compact or Clone made without a
+		// strash indexes the gates it already has.
+		m.strash.fill(m, 0)
+	}
 	if id, ok := m.strash.lookup(key); ok {
 		return MakeLit(id, neg)
 	}
@@ -148,27 +168,6 @@ func (m *MIG) Maj(a, b, c Lit) Lit {
 	m.fanin = append(m.fanin, [3]Lit(key))
 	m.strash.insert(key, id)
 	return MakeLit(id, neg)
-}
-
-// FindMaj reports what Maj(a, b, c) would return without creating
-// anything: the simplified signal when a majority axiom collapses the
-// gate, or the existing gate under the same structural normalization.
-// ok is false when the gate would have to be created. The probe never
-// mutates the graph, so concurrent readers may share it; the rewriter's
-// choice recording uses it to price candidate gates that structural
-// hashing will merge for free at commit time.
-func (m *MIG) FindMaj(a, b, c Lit) (Lit, bool) {
-	m.checkLit(a)
-	m.checkLit(b)
-	m.checkLit(c)
-	key, neg, lit, done := majNorm(a, b, c)
-	if done {
-		return lit, true
-	}
-	if id, ok := m.strash.lookup(key); ok {
-		return MakeLit(id, neg), true
-	}
-	return 0, false
 }
 
 // majNorm runs Maj's operand normalization: axiom simplification (done
@@ -354,45 +353,55 @@ func (m *MIG) liveSizeDepth(fo []int) (size, depth int) {
 // is marked by one descending sweep and the copy by one ascending sweep —
 // fanins always have smaller IDs than their gate — so arbitrarily deep
 // graphs compact without recursion.
+//
+// The copy relabels the live gates in ascending order and builds no
+// strash. Every stored triple was made by Maj, so it is canonical and
+// distinct from every other (Check verifies both), and an order-
+// preserving injective relabelling keeps both properties: the copy is
+// node for node the graph rebuilding each gate through Maj would give.
+// Its first Maj indexes it.
 func (m *MIG) Compact() *MIG {
-	reach := make([]bool, len(m.fanin))
+	// nid maps each old node to its ID in the copy; before the copy sweep
+	// a nonzero entry only marks a live gate.
+	nid := make([]ID, len(m.fanin))
 	for _, o := range m.outputs {
-		reach[o.ID()] = true
+		nid[o.ID()] = 1
 	}
 	live := 0
 	for id := len(m.fanin) - 1; id > m.numPI; id-- {
-		if !reach[id] {
+		if nid[id] == 0 {
 			continue
 		}
 		live++
 		for _, ch := range m.fanin[id] {
-			reach[ch.ID()] = true
+			nid[ch.ID()] = 1
 		}
 	}
-	out := New(m.numPI)
-	out.reserve(live)
-	lmap := make([]Lit, len(m.fanin)) // old ID -> new plain literal
-	lmap[0] = Const0
-	for i := 0; i < m.numPI; i++ {
-		lmap[i+1] = out.Input(i)
+	for id := 0; id <= m.numPI; id++ {
+		nid[id] = ID(id)
+	}
+	relabel := func(l Lit) Lit { return MakeLit(nid[l.ID()], l.Comp()) }
+	out := &MIG{
+		fanin:   make([][3]Lit, 1+m.numPI, 1+m.numPI+live),
+		numPI:   m.numPI,
+		outputs: make([]Lit, len(m.outputs)),
 	}
 	for id := m.numPI + 1; id < len(m.fanin); id++ {
-		if !reach[id] {
+		if nid[id] == 0 {
 			continue
 		}
 		f := m.fanin[id]
-		lmap[id] = out.Maj(
-			lmap[f[0].ID()].NotIf(f[0].Comp()),
-			lmap[f[1].ID()].NotIf(f[1].Comp()),
-			lmap[f[2].ID()].NotIf(f[2].Comp()))
+		nid[id] = ID(len(out.fanin))
+		out.fanin = append(out.fanin, [3]Lit{relabel(f[0]), relabel(f[1]), relabel(f[2])})
 	}
-	for _, o := range m.outputs {
-		out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
+	for i, o := range m.outputs {
+		out.outputs[i] = relabel(o)
 	}
 	return out
 }
 
-// Clone returns a deep copy of the MIG.
+// Clone returns a deep copy of the MIG. A graph without a strash (see
+// Compact) clones into one without a strash.
 func (m *MIG) Clone() *MIG {
 	return &MIG{
 		fanin:   append([][3]Lit(nil), m.fanin...),

@@ -8,7 +8,8 @@ package mig
 // keeps lookups branch-cheap and insertion amortized allocation-free.
 //
 // ID 0 is the constant node and never names a gate, so it doubles as the
-// empty-slot sentinel.
+// empty-slot sentinel. The zero table has no slots: it indexes nothing,
+// which is how a graph that nothing has probed yet carries no table.
 type strashTable struct {
 	keys []strashKey
 	ids  []ID
@@ -16,10 +17,6 @@ type strashTable struct {
 }
 
 const strashMinSize = 16 // power of two
-
-func newStrashTable() strashTable {
-	return strashTable{keys: make([]strashKey, strashMinSize), ids: make([]ID, strashMinSize)}
-}
 
 // strashHash mixes the three fanin literals; the multipliers are the
 // 64-bit golden-ratio family used by xxHash, with an avalanche finisher so
@@ -66,9 +63,10 @@ func (t *strashTable) place(k strashKey, id ID) {
 
 func (t *strashTable) grow() { t.resize(2 * len(t.ids)) }
 
-// reserve sizes the table so that it holds n entries without growing.
+// reserve sizes the table so that it holds n entries without growing. A
+// table without slots starts from strashMinSize.
 func (t *strashTable) reserve(n int) {
-	size := len(t.ids)
+	size := max(len(t.ids), strashMinSize)
 	for 3*n > 2*size {
 		size *= 2
 	}
@@ -89,10 +87,62 @@ func (t *strashTable) resize(size int) {
 	}
 }
 
+// fill empties the table, keeping its slots, and indexes every gate of m,
+// sized so that room more gates fit without growing. m's triples are
+// canonical and distinct (every gate was made by Maj), so each one is
+// placed without a lookup.
+func (t *strashTable) fill(m *MIG, room int) {
+	clear(t.ids)
+	t.reserve(m.NumGates() + room)
+	for id := m.numPI + 1; id < len(m.fanin); id++ {
+		t.place(strashKey(m.fanin[id]), ID(id))
+	}
+	t.n = m.NumGates()
+}
+
+// clone copies the table; a table without slots stays without slots.
 func (t *strashTable) clone() strashTable {
 	return strashTable{
 		keys: append([]strashKey(nil), t.keys...),
 		ids:  append([]ID(nil), t.ids...),
 		n:    t.n,
 	}
+}
+
+// Index is a structural-hashing index over the gates of one graph that
+// its caller owns instead of the graph: probing a graph through an Index
+// reads the graph and nothing else, so goroutines that each own an Index
+// may probe one shared graph at once. Reset keeps the slots, so an Index
+// reused graph after graph allocates only when a graph outgrows every
+// earlier one. The zero Index indexes nothing; Reset it before probing.
+type Index struct {
+	m *MIG
+	t strashTable
+}
+
+// Reset indexes the gates of m, replacing whatever x indexed before. The
+// index reflects m as it is now; gates added to m later are not in it.
+func (x *Index) Reset(m *MIG) {
+	x.m = m
+	x.t.fill(m, 0)
+}
+
+// FindMaj reports what Maj(a, b, c) on the indexed graph would return
+// without creating anything: the simplified signal when a majority axiom
+// collapses the gate, or the existing gate under the same structural
+// normalization. ok is false when the gate would have to be created. The
+// rewriter's choice recording uses it to price candidate gates that
+// structural hashing will merge for free at commit time.
+func (x *Index) FindMaj(a, b, c Lit) (Lit, bool) {
+	x.m.checkLit(a)
+	x.m.checkLit(b)
+	x.m.checkLit(c)
+	key, neg, lit, done := majNorm(a, b, c)
+	if done {
+		return lit, true
+	}
+	if id, ok := x.t.lookup(key); ok {
+		return MakeLit(id, neg), true
+	}
+	return 0, false
 }

@@ -9,7 +9,7 @@ package mig
 //
 // A Workspace may be reused across passes and across graphs (the arrays
 // grow to the largest graph seen) but must not be shared by two goroutines
-// at once; the parallel rewriter keeps one per worker.
+// at once; each rewrite workspace owns one.
 type Workspace struct {
 	epoch uint32
 	leaf  []uint32 // stamp: node is a leaf of the current cone
@@ -100,30 +100,4 @@ func (m *MIG) ConeSelfContainedWS(w *Workspace, nodes []ID, root ID, fo []int) b
 		}
 	}
 	return true
-}
-
-// SizeWS is Size with the visited buffer owned by w.
-func (m *MIG) SizeWS(w *Workspace) int {
-	w.begin(len(m.fanin))
-	e := w.epoch
-	w.stack = w.stack[:0]
-	count := 0
-	for _, o := range m.outputs {
-		if id := o.ID(); m.IsGate(id) && w.seen[id] != e {
-			w.seen[id] = e
-			w.stack = append(w.stack, id)
-		}
-	}
-	for len(w.stack) > 0 {
-		id := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		count++
-		for _, ch := range m.fanin[id] {
-			if cid := ch.ID(); m.IsGate(cid) && w.seen[cid] != e {
-				w.seen[cid] = e
-				w.stack = append(w.stack, cid)
-			}
-		}
-	}
-	return count
 }

@@ -77,7 +77,7 @@ func (r *rewriter) effectiveCost(cand *db.Entry, tr transformRef, leaves []mig.I
 		ok := known[gate[0].ID()] && known[gate[1].ID()] && known[gate[2].ID()]
 		if ok {
 			at := func(x mig.Lit) mig.Lit { return sig[x.ID()].NotIf(x.Comp()) }
-			if res, found := r.m.FindMaj(at(gate[0]), at(gate[1]), at(gate[2])); found {
+			if res, found := r.ws.index.FindMaj(at(gate[0]), at(gate[1]), at(gate[2])); found {
 				// A hit inside the cone is no discount: the replacement
 				// frees those nodes, so rebuilding one pays full price.
 				inCone := false
@@ -256,7 +256,7 @@ func (r *rewriter) buildGraph() *extract.Graph {
 	if g.FFRRoot == nil {
 		// The whole-graph variants (T, TD) rewrite without regions, but
 		// the extractor's exact tree-DP refinement still works per region.
-		g.FFRRoot = m.FFRRoots()
+		g.FFRRoot = m.FFRRoots(r.fo)
 	}
 	return g
 }
@@ -281,25 +281,29 @@ func (t *sigTable) sigOf(rec *choiceRec) int32 {
 // runChoice is the choice-aware counterpart of a greedy top-down pass:
 // evaluate every live gate once (bestCut records the greedy decision and
 // the menu), commit the greedy twin, select a cover of the menus, commit
-// the selection, and keep whichever result scores better under the
-// extraction objective.
-func (r *rewriter) runChoice() {
+// the selection, and return whichever result scores better under the
+// extraction objective, with its depth.
+//
+// Effective costs probe the input through the workspace's index, never
+// through a strash of the input itself, so the input is only read: a
+// compacted graph several runs share carries no strash, and indexing it
+// in place would race.
+func (r *rewriter) runChoice() (*mig.MIG, int) {
 	// The menus need the database's alternative candidates; deriving
 	// them is Once-guarded and shared process-wide.
 	r.d.EnsureAlts()
 	r.ws.prepareChoices(r.m.NumNodes())
+	r.ws.index.Reset(r.m)
 	r.evaluate()
 
 	// Greedy twin: every live gate is decided, so the commit consumes the
 	// memo without evaluating anything.
 	r.commitGreedy()
-	gRes := r.out.Compact()
+	gRes, gDepth := r.finish()
 	gRepl := r.replacements
 
-	// Fresh output graph for the extraction commit.
-	r.out = mig.New(r.m.NumPIs())
-	r.levels = r.levels[:0]
-	r.replacements = 0
+	// The extraction commits into the same builder, emptied.
+	r.resetOut()
 
 	g := r.buildGraph()
 	base := r.opt.Ctx
@@ -313,22 +317,24 @@ func (r *rewriter) runChoice() {
 		}
 		return nil
 	})
-	xRes := r.out.Compact()
+	xRes, xDepth := r.finish()
 	r.opt.Ctx = base
 
-	gSize, xSize := gRes.Size(), xRes.Size()
+	// Compacted graphs hold live gates only: their sizes are gate counts.
+	gSize, xSize := gRes.NumGates(), xRes.NumGates()
 	r.choiceCount = sel.Stats.Choices
-	if obj.Better(xSize, xRes.Depth(), gSize, gRes.Depth()) {
-		r.done = xRes
+	res, depth := gRes, gDepth
+	if obj.Better(xSize, xDepth, gSize, gDepth) {
+		res, depth = xRes, xDepth
 		r.extractSaved = gSize - xSize
 	} else {
-		r.done = gRes
 		r.replacements = gRepl
 	}
 	xspan.SetInt("choices", int64(sel.Stats.Choices))
 	xspan.SetInt("covered", int64(sel.Stats.Covered))
 	xspan.SetInt("saved_gates", int64(r.extractSaved))
 	xspan.End()
+	return res, depth
 }
 
 // evaluate runs bestCut for every live gate in ascending ID order inside

@@ -14,6 +14,7 @@ package rewrite
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mighash/internal/circuits"
@@ -52,11 +53,12 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 		ws:        ws,
 		cuts:      ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: maxCuts}),
 		fo:        m.FanoutCounts(),
-		out:       mig.New(m.NumPIs()),
+		out:       ws.out,
 		oldLevels: m.Levels(),
 	}
+	r.resetOut()
 	if opt.FFR {
-		r.ffr = m.FFRRoots()
+		r.ffr = m.FFRRoots(r.fo)
 	}
 	return r
 }
@@ -244,22 +246,99 @@ func TestRewriteDeterministic(t *testing.T) {
 }
 
 // TestRewriteSharedWorkspaceSequence reuses one workspace, with its
-// lookup memo, across a sequence of passes, mimicking a pipeline run,
-// and checks every result against a fresh-state run.
+// lookup memo and its output builder, across a sequence of TF, BF and
+// TFx passes, each on the previous result, mimicking a pipeline run. It
+// checks every result and its reported size and depth against a
+// fresh-state run, and re-checks the text of every earlier result after
+// each later pass, which resets and refills the workspace's builder: no
+// result may share storage with it.
 func TestRewriteSharedWorkspaceSequence(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
 	ws := NewWorkspace()
+	type kept struct {
+		m    *mig.MIG
+		text string
+	}
+	var results []kept
 	for round := 0; round < 6; round++ {
-		m := randomMIG(rng, 8+rng.Intn(6), 100+rng.Intn(200), 2)
-		opt := TF
-		opt.Workspace = ws
-		got, _ := Run(m, d, opt)
-		want, _ := Run(m, d, TF)
-		if writeText(t, got) != writeText(t, want) {
-			t.Fatalf("round %d: workspace reuse changed the result", round)
+		cur := randomMIG(rng, 8+rng.Intn(6), 100+rng.Intn(200), 2)
+		for _, base := range []Options{TF, BF, variant("TFx")} {
+			opt := base
+			opt.Workspace = ws
+			got, st := Run(cur, d, opt)
+			want, _ := Run(cur, d, base)
+			name := VariantName(base)
+			text := writeText(t, want)
+			if writeText(t, got) != text {
+				t.Fatalf("round %d %s: workspace reuse changed the result", round, name)
+			}
+			if st.SizeBefore != cur.Size() || st.DepthBefore != cur.Depth() ||
+				st.SizeAfter != got.Size() || st.DepthAfter != got.Depth() {
+				t.Fatalf("round %d %s: stats say %d/%d → %d/%d gates/levels, the graphs have %d/%d → %d/%d",
+					round, name, st.SizeBefore, st.DepthBefore, st.SizeAfter, st.DepthAfter,
+					cur.Size(), cur.Depth(), got.Size(), got.Depth())
+			}
+			results = append(results, kept{got, text})
+			for i, k := range results {
+				if writeText(t, k.m) != k.text {
+					t.Fatalf("round %d %s: result %d changed after a later pass reused the builder", round, name, i)
+				}
+			}
+			cur = got
 		}
 	}
+}
+
+// TestSharedInputPasses runs TFx and TF5x passes, each goroutine with its
+// own workspace, and FindMaj probes through goroutine-owned indexes, all
+// at once over one freshly compacted graph, as the concurrent runs of a
+// batch or a server share an input. Run under -race -count=10: a pass
+// that indexed its input in place would race. The expected results come
+// from a twin compacted copy, so nothing touches the shared graph before
+// the goroutines start and builds shared state early, where the
+// goroutines would not race on it.
+func TestSharedInputPasses(t *testing.T) {
+	d := loadDB(t)
+	src := randomMIG(rand.New(rand.NewSource(89)), 8, 300, 3)
+	shared, twin := src.Compact(), src.Compact()
+	store := store5()
+	opts := []Options{variant("TFx"), variant("TF5x")}
+	want := make([]string, len(opts))
+	for i := range opts {
+		opts[i].Exact5 = store
+		got, st := Run(twin, d, opts[i])
+		if st.Choices == 0 || st.Replacements == 0 {
+			t.Fatalf("%s recorded %d choices and %d replacements: it would not probe its input", VariantName(opts[i]), st.Choices, st.Replacements)
+		}
+		want[i] = writeText(t, got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var x mig.Index
+			x.Reset(shared)
+			for id := shared.NumPIs() + 1; id < shared.NumNodes(); id++ {
+				f := shared.Fanin(mig.ID(id))
+				if l, ok := x.FindMaj(f[1], f[2], f[0]); !ok || l != mig.MakeLit(mig.ID(id), false) {
+					t.Errorf("goroutine %d: FindMaj on gate %d's fanins = %v, %v", g, id, l, ok)
+					return
+				}
+			}
+			ws := NewWorkspace()
+			for i := range opts {
+				k := (i + g) % len(opts)
+				opt := opts[k]
+				opt.Workspace = ws
+				if got, _ := Run(shared, d, opt); writeText(t, got) != want[k] {
+					t.Errorf("goroutine %d: %s on the shared graph differs from the sequential run", g, VariantName(opt))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestWorkspaceReusedAcrossDBs: one workspace driven alternately over

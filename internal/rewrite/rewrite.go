@@ -221,11 +221,11 @@ func (s Stats) String() string {
 
 // Workspace owns every reusable buffer of a rewriting pass: the cut-set
 // arena, the cone-analysis scratch, the 4-input lookup memo, the
-// best-cut decision memo and the commit-phase buffers. Reusing one
-// Workspace across passes (the engine does this per pipeline run) makes
-// the steady-state hot path allocation-free, and the memo then answers
-// the 4-input lookups of every pass of the run. A Workspace must not be
-// shared by concurrent Runs.
+// best-cut decision memo, the output builder and the commit-phase
+// buffers. Reusing one Workspace across passes (the engine does this per
+// pipeline run) makes the steady-state hot path allocation-free, and the
+// memo then answers the 4-input lookups of every pass of the run. A
+// Workspace must not be shared by concurrent Runs.
 type Workspace struct {
 	cuts    cut.Workspace
 	cone    *mig.Workspace // cone-analysis scratch
@@ -233,6 +233,8 @@ type Workspace struct {
 	d       *db.DB         // the database memo was filled through
 	best    []candidateCut // per-node best replacement (entry == nil: none)
 	decided []bool         // per-node: best[v] is valid
+	out     *mig.MIG       // the output builder, reset for every commit
+	levels  []int          // the level of every node of out
 	res     []mig.Lit      // commit phase: node implementations
 	known   []bool         // commit phase: res[v] is valid
 	stack   []mig.ID       // commit phase DFS stack
@@ -244,6 +246,7 @@ type Workspace struct {
 	choices [][]choiceRec  // choice mode: per-node recorded menus
 	graph   extract.Graph  // choice mode: arena reused across passes
 	sigs    sigTable       // choice mode: duplicate-cone IDs of the graph build
+	index   mig.Index      // choice mode: the strash the input is probed through
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
@@ -271,10 +274,14 @@ func (w *Workspace) prepare(d *db.DB, n int) {
 	if w.memo == nil || w.d != d {
 		w.d, w.memo = d, db.NewCache()
 	}
+	if w.out == nil {
+		w.out = mig.New(0)
+	}
 }
 
 // Run applies one functional-hashing pass over m and returns the optimized
-// MIG (a fresh graph; m is unchanged). The database provides the minimum
+// MIG (a fresh, compacted graph that shares no storage with the
+// workspace; m is unchanged). The database provides the minimum
 // representations; db.MustLoad() supplies the embedded one.
 func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	opt = opt.withDefaults()
@@ -297,12 +304,16 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		ws:        ws,
 		cuts:      ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: maxCuts}),
 		fo:        m.FanoutCounts(),
-		out:       mig.New(m.NumPIs()),
+		out:       ws.out,
 		oldLevels: m.Levels(),
+		levels:    ws.levels,
 	}
+	r.resetOut()
 	if opt.FFR {
-		r.ffr = m.FFRRoots()
+		r.ffr = m.FFRRoots(r.fo)
 	}
+	var res *mig.MIG
+	var depthAfter int
 	if opt.BottomUp {
 		// Bottom-up is evaluate-and-commit interleaved per FFR; it gets a
 		// single commit-phase span (ladders of its K = 5 variants nest here).
@@ -310,32 +321,35 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		r.opt.Ctx = cctx
 		r.runBottomUp()
 		cspan.End()
+		res, depthAfter = r.finish()
 	} else if opt.Extract {
-		r.runChoice()
+		res, depthAfter = r.runChoice()
 	} else {
 		// A greedy pass evaluates lazily from the commit walk.
 		r.commitGreedy()
+		res, depthAfter = r.finish()
 	}
-	res := r.done
-	if res == nil {
-		res = r.out.Compact()
-	}
-	// Every Stats metric is computed exactly once: the input depth falls
-	// out of the levels the depth heuristic already needed, the input size
-	// out of one workspace-backed sweep, and the result size/depth out of
-	// one pass each over the compacted graph.
-	depthBefore := 0
-	for _, o := range m.Outputs() {
-		if l := r.oldLevels[o.ID()]; l > depthBefore {
-			depthBefore = l
+	ws.levels = r.levels
+	// Every Stats metric is computed exactly once and walks no graph: the
+	// input size counts the live gates of the fanout counts, the input
+	// depth falls out of the levels the depth heuristic already needed,
+	// the result size is the compacted result's gate count and its depth
+	// falls out of the builder's levels.
+	sizeBefore, depthBefore := 0, 0
+	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
+		if r.fo[id] > 0 {
+			sizeBefore++
 		}
+	}
+	for _, o := range m.Outputs() {
+		depthBefore = max(depthBefore, r.oldLevels[o.ID()])
 	}
 	st := Stats{
 		Variant:      VariantName(opt),
-		SizeBefore:   m.SizeWS(ws.cone),
-		SizeAfter:    res.Size(),
+		SizeBefore:   sizeBefore,
+		SizeAfter:    res.NumGates(),
 		DepthBefore:  depthBefore,
-		DepthAfter:   res.Depth(),
+		DepthAfter:   depthAfter,
 		Replacements: r.replacements,
 		CacheHits:    r.hits,
 		CacheMisses:  r.misses,
@@ -355,7 +369,7 @@ type rewriter struct {
 	cuts [][]cut.Cut
 	fo   []int
 	ffr  []mig.ID // FFR root per node (nil when not partitioning)
-	out  *mig.MIG
+	out  *mig.MIG // the workspace's output builder
 
 	oldLevels []int // levels in the input graph, for the depth heuristic
 
@@ -363,11 +377,29 @@ type rewriter struct {
 	replacements int
 	hits, misses int // 4-input lookups answered by, and added to, ws.memo
 
-	// Choice mode (Options.Extract): the chosen compacted result — Run
-	// falls back to compacting r.out when nil — and its stats.
-	done         *mig.MIG
+	// Choice mode (Options.Extract) stats.
 	choiceCount  int
 	extractSaved int
+}
+
+// resetOut empties the output builder for a commit into a graph over m's
+// inputs, keeping its storage and that of the levels.
+func (r *rewriter) resetOut() {
+	r.out.Reset(r.m.NumPIs())
+	r.levels = r.levels[:0]
+	r.replacements = 0
+}
+
+// finish returns the compacted copy of the output builder — the builder
+// stays the workspace's — with its depth, read off the builder's levels:
+// compaction keeps every live node's fanins, so it keeps their levels.
+func (r *rewriter) finish() (*mig.MIG, int) {
+	r.growLevels()
+	depth := 0
+	for _, o := range r.out.Outputs() {
+		depth = max(depth, r.levels[o.ID()])
+	}
+	return r.out.Compact(), depth
 }
 
 // addMaj creates a majority gate in the output graph, keeping the level
