@@ -250,7 +250,8 @@ func main() {
 		rootSpan.SetStr("script", p.Name)
 	}
 	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl})
-	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
+	p.Exact5 = exact5
+	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile}
 	if *url != "" {
 		// The engine-local store flags never reach the server; warn
 		// instead of silently dropping them so scripted runs notice.
@@ -566,7 +567,6 @@ func writeGraph(path string, m *mig.MIG) error {
 func runRemote(ctx context.Context, baseURL, script, verify string, timeout time.Duration, retries int, jobs []engine.Job) ([]engine.Result, int, error) {
 	req := server.BatchRequest{
 		ScriptSpec: server.ScriptSpec{Script: script},
-		Verify:     verify != "",
 		VerifyMode: verify,
 	}
 	if timeout > 0 {
@@ -625,7 +625,7 @@ func verifyModes(mode string) (simV, satV bool, err error) {
 		satV = true
 	case "sim":
 		simV = true
-	case "sim+sat", "sat+sim":
+	case "sim+sat":
 		simV, satV = true, true
 	default:
 		err = fmt.Errorf(`-verify wants "sat", "sim" or "sim+sat", got %q`, mode)

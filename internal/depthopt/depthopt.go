@@ -2,7 +2,6 @@ package depthopt
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mighash/internal/mig"
@@ -51,14 +50,14 @@ func Optimize(m *mig.MIG, opt Options) (*mig.MIG, Stats) {
 	if limit < st.SizeBefore {
 		limit = st.SizeBefore
 	}
-	// Every rebuild pass reuses one builder, and each graph's size and
-	// depth are known once: the input's from above, a pass result's from
-	// the pass.
+	// Every rebuild pass reuses one builder, and each graph's size is
+	// known once: the input's from above, a pass result's from its gate
+	// count.
 	b := &builder{out: mig.New(m.NumPIs()), limit: limit}
 	cur, size, depth := m, st.SizeBefore, st.DepthBefore
 	for pass := 0; pass < opt.MaxPasses; pass++ {
-		next, nextDepth := onePass(b, cur)
-		nextSize := next.NumGates() // compacted: every gate is live
+		next := onePass(b, cur)
+		nextSize, nextDepth := next.NumGates(), next.Depth() // compacted: every gate is live
 		st.Passes = pass + 1
 		improved := nextDepth < depth
 		if improved || (nextDepth == depth && nextSize < size) {
@@ -74,12 +73,11 @@ func Optimize(m *mig.MIG, opt Options) (*mig.MIG, Stats) {
 	return cur, st
 }
 
-// builder tracks the output graph plus finalized arrival times and the
-// size cap of the current pass. One builder serves every pass of an
-// Optimize call.
+// builder tracks the output graph, whose levels are the arrival times,
+// and the size cap of the current pass. One builder serves every pass of
+// an Optimize call.
 type builder struct {
 	out       *mig.MIG
-	levels    []int
 	limit     int  // maximum gates the pass may produce
 	remaining int  // original gates still to be rebuilt after the current one
 	critical  bool // the gate being rebuilt lies on an original critical path
@@ -92,24 +90,7 @@ func (b *builder) allow(planMax int) bool {
 	return b.out.NumGates()+planMax+b.remaining <= b.limit
 }
 
-func (b *builder) maj(x, y, z mig.Lit) mig.Lit {
-	l := b.out.Maj(x, y, z)
-	for len(b.levels) < b.out.NumNodes() {
-		id := mig.ID(len(b.levels))
-		lvl := 0
-		if b.out.IsGate(id) {
-			for _, ch := range b.out.Fanin(id) {
-				if v := b.levels[ch.ID()]; v >= lvl {
-					lvl = v + 1
-				}
-			}
-		}
-		b.levels = append(b.levels, lvl)
-	}
-	return l
-}
-
-func (b *builder) level(l mig.Lit) int { return b.levels[l.ID()] }
+func (b *builder) level(l mig.Lit) int { return b.out.Level(l.ID()) }
 
 // arrival of a would-be gate over the given operands.
 func (b *builder) arr(ops ...mig.Lit) int {
@@ -140,12 +121,9 @@ func (b *builder) innerOf(g mig.Lit) ([3]mig.Lit, bool) {
 
 // onePass rebuilds m bottom-up in b, greedily minimizing each gate's
 // arrival, and returns the compacted copy of the rebuild (b keeps its
-// storage for the next pass) with its depth, read off b's levels:
-// compaction keeps every live node's fanins, so it keeps their levels.
-func onePass(b *builder, m *mig.MIG) (*mig.MIG, int) {
+// storage for the next pass).
+func onePass(b *builder, m *mig.MIG) *mig.MIG {
 	b.out.Reset(m.NumPIs())
-	b.levels = slices.Grow(b.levels[:0], b.out.NumNodes())[:b.out.NumNodes()]
-	clear(b.levels)
 	b.remaining = 0
 	lmap := make([]mig.Lit, m.NumNodes())
 	lmap[0] = mig.Const0
@@ -175,25 +153,16 @@ func onePass(b *builder, m *mig.MIG) (*mig.MIG, int) {
 		b.critical = slack0[id]
 		lmap[id] = rebuildGate(b, ops)
 	}
-	depth := 0
 	for _, o := range m.Outputs() {
-		l := lmap[o.ID()].NotIf(o.Comp())
-		b.out.AddOutput(l)
-		depth = max(depth, b.level(l))
+		b.out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
 	}
-	return b.out.Compact(), depth
+	return b.out.Compact()
 }
 
 // criticalNodes marks the gates with zero slack: level + longest path to
 // an output equals the graph depth.
 func criticalNodes(m *mig.MIG, fo []int) []bool {
-	levels := m.Levels()
-	depth := 0
-	for _, o := range m.Outputs() {
-		if levels[o.ID()] > depth {
-			depth = levels[o.ID()]
-		}
-	}
+	depth := m.Depth()
 	req := make([]int, m.NumNodes())
 	for i := range req {
 		req[i] = depth + 1 // unconstrained
@@ -206,7 +175,7 @@ func criticalNodes(m *mig.MIG, fo []int) []bool {
 		if fo[id] == 0 {
 			continue
 		}
-		if req[id] <= levels[id] {
+		if req[id] <= m.Level(mig.ID(id)) {
 			crit[id] = true
 		}
 		for _, ch := range m.Fanin(mig.ID(id)) {
@@ -233,16 +202,16 @@ type plan struct {
 func (pl *plan) emit(b *builder) mig.Lit {
 	o := &pl.ops
 	if pl.distribute {
-		return b.maj(b.maj(o[0], o[1], o[2]), b.maj(o[0], o[1], o[3]), o[4])
+		return b.out.Maj(b.out.Maj(o[0], o[1], o[2]), b.out.Maj(o[0], o[1], o[3]), o[4])
 	}
-	return b.maj(o[0], o[1], b.maj(o[2], o[3], o[4]))
+	return b.out.Maj(o[0], o[1], b.out.Maj(o[2], o[3], o[4]))
 }
 
 // rebuildGate constructs 〈ops〉 with the arrival-minimizing reassociation.
 func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 	bestArr := b.arr(ops[:]...)
 	if !b.critical {
-		return b.maj(ops[0], ops[1], ops[2])
+		return b.out.Maj(ops[0], ops[1], ops[2])
 	}
 
 	// Identify the unique deepest operand; reassociation only helps when
@@ -257,7 +226,7 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 	p, q := ops[(deep+1)%3], ops[(deep+2)%3]
 	inner, isGate := b.innerOf(g)
 	if !isGate {
-		return b.maj(ops[0], ops[1], ops[2])
+		return b.out.Maj(ops[0], ops[1], ops[2])
 	}
 
 	// One slot per associativity rule and choice of the shared operand u,
@@ -330,7 +299,7 @@ func rebuildGate(b *builder, ops [3]mig.Lit) mig.Lit {
 		}
 	}
 	if bestPlan < 0 {
-		return b.maj(ops[0], ops[1], ops[2])
+		return b.out.Maj(ops[0], ops[1], ops[2])
 	}
 	return plans[bestPlan].emit(b)
 }

@@ -52,16 +52,9 @@ type BatchOptions struct {
 	// a corrupt or version-skewed snapshot degrades to a cold store with a
 	// logged warning. The optimized graphs are bit-identical warm or cold:
 	// a warm store only skips every already-learned synthesis (the
-	// ladders just never run). K = 4 scripts leave the store empty.
+	// ladders just never run). K = 4 scripts leave the store empty. The
+	// store is the pipeline's Exact5, or the one RunBatch creates.
 	CacheFile string
-	// Exact5 shares one on-demand 5-input exact-synthesis store across
-	// every job, so workers learn classes for each other. When nil,
-	// RunBatch creates a batch-shared store with the Synth5 budget
-	// (K = 4 scripts never touch it, so the empty store costs nothing).
-	Exact5 *db.OnDemand
-	// Synth5 tunes the per-class synthesis budget of the store RunBatch
-	// creates when Exact5 is nil. Ignored otherwise.
-	Synth5 db.OnDemandOptions
 	// Progress, when non-nil, is invoked synchronously after every pass of
 	// every job with the job index (into the jobs slice) and that pass's
 	// statistics. Calls for different jobs come from different worker
@@ -97,14 +90,11 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 	// Workers run a shallow copy of the pipeline so the batch's store is
 	// installed without mutating the caller's p.
 	run := *p
-	if opt.Exact5 != nil {
-		run.Exact5 = opt.Exact5
-	}
 	if run.Exact5 == nil {
-		// Always share one store across the batch: jobs learn 5-input
-		// classes for each other, and the caller's Synth5 budget applies
-		// with or without a snapshot file (K = 4 scripts never touch it).
-		run.Exact5 = db.NewOnDemand(opt.Synth5)
+		// Always share one store across the batch, so jobs learn 5-input
+		// classes for each other (K = 4 scripts never touch it, so the
+		// empty store costs nothing).
+		run.Exact5 = db.NewOnDemand(db.OnDemandOptions{})
 	}
 	if opt.CacheFile != "" {
 		if _, err := db.LoadSnapshotFile(opt.CacheFile, run.Exact5); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -228,35 +218,6 @@ func SplitOutputs(m *mig.MIG, baseName string) []Job {
 }
 
 // ExtractCone returns a fresh single-output MIG computing output out of
-// m: the cone's gates are copied (with structural hashing) over the full
-// primary-input set, so cones of one graph stay input-compatible.
-func ExtractCone(m *mig.MIG, out int) *mig.MIG {
-	o := m.Output(out)
-	// Fanins always have smaller IDs than their gate, so one descending
-	// mark sweep finds the cone and one ascending copy rebuilds it.
-	reach := make([]bool, m.NumNodes())
-	reach[o.ID()] = true
-	for id := m.NumNodes() - 1; id > m.NumPIs(); id-- {
-		if !reach[id] || !m.IsGate(mig.ID(id)) {
-			continue
-		}
-		for _, ch := range m.Fanin(mig.ID(id)) {
-			reach[ch.ID()] = true
-		}
-	}
-	res := mig.New(m.NumPIs())
-	sig := make([]mig.Lit, m.NumNodes())
-	sig[0] = mig.Const0
-	for i := 0; i < m.NumPIs(); i++ {
-		sig[m.Input(i).ID()] = res.Input(i)
-	}
-	at := func(l mig.Lit) mig.Lit { return sig[l.ID()].NotIf(l.Comp()) }
-	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-		if reach[id] && m.IsGate(mig.ID(id)) {
-			f := m.Fanin(mig.ID(id))
-			sig[id] = res.Maj(at(f[0]), at(f[1]), at(f[2]))
-		}
-	}
-	res.AddOutput(at(o))
-	return res
-}
+// m: the cone's gates are copied over the full primary-input set, so
+// cones of one graph stay input-compatible (see mig.MIG.Cone).
+func ExtractCone(m *mig.MIG, out int) *mig.MIG { return m.Cone(out) }

@@ -24,10 +24,11 @@
 // memo: the canonicalization + database lookup of every 4-feasible cut —
 // the hot path of functional hashing — is memoized across the passes and
 // iterations of the run. K = 5 scripts
-// additionally share an on-demand exact-synthesis store (Pipeline.Exact5
-// / BatchOptions.Exact5, budget via BatchOptions.Synth5): 5-input classes
-// are learned once per process and fed to every worker, with the run's
-// context cancelling in-flight ladders. BatchOptions.CacheFile extends
+// additionally share an on-demand exact-synthesis store (Pipeline.Exact5,
+// whose options set the per-class budget; RunBatch creates one for the
+// whole batch when it is nil): 5-input classes are learned once per
+// process and fed to every worker, with the run's context cancelling
+// in-flight ladders. BatchOptions.CacheFile extends
 // the learned store across processes: the batch warm-starts it from an
 // on-disk snapshot and saves it back atomically afterwards, with corrupt
 // snapshots degrading to a cold store (logged, never fatal). Optimized

@@ -68,9 +68,8 @@ func TestRunBatch5CacheFileWarmStart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "npn5.cache")
 
 	cold := db.NewOnDemand(synth5Budget)
-	coldRes, err := RunBatch(context.Background(), p, jobs, BatchOptions{
-		Workers: 2, CacheFile: path, Exact5: cold,
-	})
+	p.Exact5 = cold
+	coldRes, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +78,8 @@ func TestRunBatch5CacheFileWarmStart(t *testing.T) {
 	}
 
 	warm := db.NewOnDemand(synth5Budget)
-	warmRes, err := RunBatch(context.Background(), p, jobs, BatchOptions{
-		Workers: 2, CacheFile: path, Exact5: warm,
-	})
+	p.Exact5 = warm
+	warmRes, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,12 @@ type Pipeline struct {
 	DB *db.DB
 	// Exact5 is the on-demand 5-input exact-synthesis store feeding the
 	// K = 5 passes ("TF5" and friends, the resyn5/size5 presets). When
-	// nil each Run allocates a private store with default budgets; share
-	// one db.NewOnDemand across runs and batch workers so every class is
-	// synthesized once per process — and, with BatchOptions.CacheFile,
-	// once per snapshot file. K = 4 scripts never touch it.
+	// nil each Run allocates a private store with default budgets, and
+	// RunBatch one that all of its jobs share; share one db.NewOnDemand
+	// across runs and batches so every class is synthesized once per
+	// process — and, with BatchOptions.CacheFile, once per snapshot file.
+	// Its options set the per-class synthesis budget. K = 4 scripts never
+	// touch it.
 	Exact5 *db.OnDemand
 	// Workers is ignored: every rewrite pass evaluates serially, and
 	// RunBatch's job pool (BatchOptions.Workers) is the engine's only

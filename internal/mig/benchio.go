@@ -25,12 +25,17 @@ import (
 // in order; outputs o0, o1, …; internal gates n<id>.
 func (m *MIG) WriteBENCH(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	// The header's size and depth come from the fanout sweep the body
-	// needs anyway (a gate is live exactly when its count is positive)
-	// plus one level pass over the live gates.
+	// The header's size counts the live gates of the fanout sweep the body
+	// needs anyway (a gate is live exactly when its count is positive),
+	// and its depth reads the stored levels of the outputs.
 	fo := m.FanoutCounts()
-	size, depth := m.liveSizeDepth(fo)
-	st := Stats{PIs: m.numPI, POs: len(m.outputs), Size: size, Depth: depth}
+	size := 0
+	for _, n := range fo[m.numPI+1:] {
+		if n > 0 {
+			size++
+		}
+	}
+	st := Stats{PIs: m.numPI, POs: len(m.outputs), Size: size, Depth: m.Depth()}
 	line := st.appendTo(append(make([]byte, 0, 128), "# mighash MIG: "...))
 	bw.Write(append(line, '\n'))
 	for i := 0; i < m.numPI; i++ {

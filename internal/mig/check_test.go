@@ -71,6 +71,12 @@ func TestCheckRejectsCorruptGraphs(t *testing.T) {
 		{"stale strash", func(m *MIG) {
 			m.fanin[4] = [3]Lit{lit(1, false), lit(2, false), lit(3, true)}
 		}, "strash"},
+		{"wrong level", func(m *MIG) {
+			m.level[5] = 3
+		}, "gate 5 stores level 3, want 2"},
+		{"missing level", func(m *MIG) {
+			m.level = m.level[:len(m.level)-1]
+		}, "levels stored"},
 	} {
 		m := base()
 		tc.corrupt(m)

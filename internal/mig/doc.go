@@ -11,7 +11,12 @@
 // IDs 1..NumPIs() are the primary inputs, and higher IDs are majority
 // gates. Gates are created strictly after their children, so ascending ID
 // order is always a topological order. A signal is addressed by a Lit,
-// which packs a node ID and a complement bit.
+// which packs a node ID and a complement bit. Every node carries its
+// level, the paper's depth measure in visited gates: 0 for the
+// terminals and one more than the deepest fanin for a gate. Nodes are
+// never changed once made, so the level is stored when a node is made
+// (by New, Reset and Maj, copied by Compact, Cone and Clone), and Level
+// and Depth only read it.
 //
 // Gate creation performs structural hashing with the majority-axiom
 // normalizations 〈aab〉 = a and 〈aāb〉 = b, operand sorting
@@ -24,11 +29,11 @@
 // reader that probes a graph it does not build (a choice-aware rewrite
 // pass pricing candidate gates) does so through an Index it owns, so the
 // graph stays untouched. Check verifies the invariants all of this rests
-// on: fanins below their gate, and every fanin triple canonical and
-// unique.
+// on: fanins below their gate, every fanin triple canonical and unique,
+// and every stored level right.
 //
-// Besides the structure itself the package provides analysis (levels,
-// fanout counts, fanout-free regions, cone extraction), bit-parallel
+// Besides the structure itself the package provides analysis (fanout
+// counts, fanout-free regions, cone extraction), bit-parallel
 // simulation, SAT-based combinational equivalence checking (Equivalent),
 // the textual netlist format (ReadText/WriteText), BENCH interchange
 // (ReadBENCH/WriteBENCH — the wire format of the HTTP optimization
@@ -39,8 +44,8 @@
 //
 // Concurrency contract: an *MIG is NOT safe for concurrent mutation —
 // Maj (which may also index the graph), AddOutput, SetOutput and Reset
-// must stay on one goroutine. Pure readers (Fanin, Size, Depth, Levels,
-// FanoutCounts, ConeNodes, Compact, Clone, Check, WriteBENCH, …) are
+// must stay on one goroutine. Pure readers (Fanin, Level, Size, Depth,
+// FanoutCounts, ConeNodes, Compact, Cone, Clone, Check, WriteBENCH, …) are
 // safe to call concurrently on a graph no goroutine is mutating; this is
 // what lets the concurrent runs of a batch or a server share one input.
 // Workspace and Index are per-goroutine state: one per concurrent

@@ -57,6 +57,7 @@ type strashKey [3]Lit
 // MIG is a majority-inverter graph. Create instances with New.
 type MIG struct {
 	fanin   [][3]Lit // per-node children; unused for terminals
+	level   []int32  // per-node level, set when the node is made
 	numPI   int
 	strash  strashTable
 	outputs []Lit
@@ -67,7 +68,7 @@ func New(numPIs int) *MIG {
 	if numPIs < 0 {
 		panic("mig: negative number of inputs")
 	}
-	return &MIG{fanin: make([][3]Lit, 1+numPIs), numPI: numPIs}
+	return &MIG{fanin: make([][3]Lit, 1+numPIs), level: make([]int32, 1+numPIs), numPI: numPIs}
 }
 
 // Reset empties m into the graph New(numPIs) returns, keeping the node
@@ -80,6 +81,8 @@ func (m *MIG) Reset(numPIs int) {
 	}
 	m.fanin = slices.Grow(m.fanin[:0], 1+numPIs)[:1+numPIs]
 	clear(m.fanin)
+	m.level = slices.Grow(m.level[:0], 1+numPIs)[:1+numPIs]
+	clear(m.level)
 	m.numPI = numPIs
 	m.outputs = m.outputs[:0]
 	m.strash.n = 0
@@ -95,6 +98,7 @@ func (m *MIG) Reset(numPIs int) {
 // the whole pass and raised peak memory.
 func (m *MIG) reserve(gates int) {
 	m.fanin = slices.Grow(m.fanin, gates)
+	m.level = slices.Grow(m.level, gates)
 	if m.strash.ids == nil {
 		m.strash.fill(m, gates)
 		return
@@ -146,6 +150,11 @@ func (m *MIG) Fanin(id ID) [3]Lit {
 	return m.fanin[id]
 }
 
+// Level returns the level of node id: 0 for the terminals and one more
+// than the deepest fanin for a gate, so depth counts visited gates as in
+// the paper. Levels are stored when a node is made, so this is a load.
+func (m *MIG) Level(id ID) int { return int(m.level[id]) }
+
 // Maj returns the signal computing 〈abc〉, creating a gate unless the
 // result simplifies or an equivalent gate already exists.
 func (m *MIG) Maj(a, b, c Lit) Lit {
@@ -166,6 +175,7 @@ func (m *MIG) Maj(a, b, c Lit) Lit {
 	}
 	id := ID(len(m.fanin))
 	m.fanin = append(m.fanin, [3]Lit(key))
+	m.level = append(m.level, 1+max(m.level[key[0].ID()], m.level[key[1].ID()], m.level[key[2].ID()]))
 	m.strash.insert(key, id)
 	return MakeLit(id, neg)
 }
@@ -275,31 +285,11 @@ func (m *MIG) Size() int {
 	return count
 }
 
-// Levels returns per-node logic levels: terminals are level 0 and a gate is
-// one more than its deepest child, i.e. depth counts visited gates as in
-// the paper.
-func (m *MIG) Levels() []int {
-	lv := make([]int, len(m.fanin))
-	for id := m.numPI + 1; id < len(m.fanin); id++ {
-		max := 0
-		for _, ch := range m.fanin[id] {
-			if l := lv[ch.ID()]; l > max {
-				max = l
-			}
-		}
-		lv[id] = max + 1
-	}
-	return lv
-}
-
 // Depth returns the maximum output level.
 func (m *MIG) Depth() int {
-	lv := m.Levels()
 	d := 0
 	for _, o := range m.outputs {
-		if l := lv[o.ID()]; l > d {
-			d = l
-		}
+		d = max(d, m.Level(o.ID()))
 	}
 	return d
 }
@@ -325,29 +315,6 @@ func (m *MIG) FanoutCounts() []int {
 	return fo
 }
 
-// liveSizeDepth returns Size and Depth from the fanout counts fo of
-// FanoutCounts: the live gates are those with a positive count, and the
-// levels of one pass over them alone give the depth, because a live
-// gate's fanins are live too.
-func (m *MIG) liveSizeDepth(fo []int) (size, depth int) {
-	lv := make([]int32, len(m.fanin))
-	for id := m.numPI + 1; id < len(m.fanin); id++ {
-		if fo[id] == 0 {
-			continue
-		}
-		size++
-		top := int32(0)
-		for _, ch := range m.fanin[id] {
-			top = max(top, lv[ch.ID()])
-		}
-		lv[id] = top + 1
-	}
-	for _, o := range m.outputs {
-		depth = max(depth, int(lv[o.ID()]))
-	}
-	return size, depth
-}
-
 // Compact returns a compacted copy containing only nodes reachable from
 // the outputs, with the same inputs and outputs (in order). Reachability
 // is marked by one descending sweep and the copy by one ascending sweep —
@@ -359,12 +326,21 @@ func (m *MIG) liveSizeDepth(fo []int) (size, depth int) {
 // distinct from every other (Check verifies both), and an order-
 // preserving injective relabelling keeps both properties: the copy is
 // node for node the graph rebuilding each gate through Maj would give.
-// Its first Maj indexes it.
-func (m *MIG) Compact() *MIG {
+// A live gate's fanins are live, so its level is copied unchanged. The
+// copy's first Maj indexes it.
+func (m *MIG) Compact() *MIG { return m.compact(m.outputs) }
+
+// Cone returns the compacted single-output graph of output i: the gates
+// of its transitive fanin cone, copied as Compact copies them, over all
+// of m's inputs, so the cones of one graph stay input-compatible.
+func (m *MIG) Cone(i int) *MIG { return m.compact(m.outputs[i : i+1]) }
+
+// compact is Compact of the graph whose outputs are outs.
+func (m *MIG) compact(outs []Lit) *MIG {
 	// nid maps each old node to its ID in the copy; before the copy sweep
 	// a nonzero entry only marks a live gate.
 	nid := make([]ID, len(m.fanin))
-	for _, o := range m.outputs {
+	for _, o := range outs {
 		nid[o.ID()] = 1
 	}
 	live := 0
@@ -383,8 +359,9 @@ func (m *MIG) Compact() *MIG {
 	relabel := func(l Lit) Lit { return MakeLit(nid[l.ID()], l.Comp()) }
 	out := &MIG{
 		fanin:   make([][3]Lit, 1+m.numPI, 1+m.numPI+live),
+		level:   make([]int32, 1+m.numPI, 1+m.numPI+live),
 		numPI:   m.numPI,
-		outputs: make([]Lit, len(m.outputs)),
+		outputs: make([]Lit, len(outs)),
 	}
 	for id := m.numPI + 1; id < len(m.fanin); id++ {
 		if nid[id] == 0 {
@@ -393,8 +370,9 @@ func (m *MIG) Compact() *MIG {
 		f := m.fanin[id]
 		nid[id] = ID(len(out.fanin))
 		out.fanin = append(out.fanin, [3]Lit{relabel(f[0]), relabel(f[1]), relabel(f[2])})
+		out.level = append(out.level, m.level[id])
 	}
-	for i, o := range m.outputs {
+	for i, o := range outs {
 		out.outputs[i] = relabel(o)
 	}
 	return out
@@ -405,6 +383,7 @@ func (m *MIG) Compact() *MIG {
 func (m *MIG) Clone() *MIG {
 	return &MIG{
 		fanin:   append([][3]Lit(nil), m.fanin...),
+		level:   append([]int32(nil), m.level...),
 		numPI:   m.numPI,
 		strash:  m.strash.clone(),
 		outputs: append([]Lit(nil), m.outputs...),

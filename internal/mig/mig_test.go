@@ -152,9 +152,8 @@ func TestLevelsAndDepth(t *testing.T) {
 	if got := m.Depth(); got != 3 {
 		t.Errorf("chain depth = %d, want 3", got)
 	}
-	lv := m.Levels()
-	if lv[l1.ID()] != 1 || lv[l2.ID()] != 2 || lv[l3.ID()] != 3 {
-		t.Errorf("levels wrong: %v", lv)
+	if m.Level(l1.ID()) != 1 || m.Level(l2.ID()) != 2 || m.Level(l3.ID()) != 3 {
+		t.Errorf("levels wrong: %d %d %d", m.Level(l1.ID()), m.Level(l2.ID()), m.Level(l3.ID()))
 	}
 }
 

@@ -54,12 +54,12 @@ func (r *rewriter) runBottomUp() {
 		// Fallback: v's own majority gate over the children candidates.
 		f := r.m.Fanin(v)
 		r.eachCombo([]mig.ID{f[0].ID(), f[1].ID(), f[2].ID()}, func(sel []candidate) {
-			lit := r.addMaj(
+			lit := r.out.Maj(
 				sel[0].lit.NotIf(f[0].Comp()),
 				sel[1].lit.NotIf(f[1].Comp()),
 				sel[2].lit.NotIf(f[2].Comp()))
 			size := sel[0].size + sel[1].size + sel[2].size + 1
-			list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.level(lit))})
+			list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.out.Level(lit.ID()))})
 		})
 
 		// Cut replacements (Algorithm 2 lines 5–10).
@@ -73,7 +73,7 @@ func (r *rewriter) runBottomUp() {
 				}
 				lit := r.instantiate(rep.entry, rep.tr, leafSigs[:len(sel)])
 				r.replacements++
-				list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.level(lit))})
+				list = r.insert(list, candidate{lit: lit, size: size, depth: int32(r.out.Level(lit.ID()))})
 			})
 		})
 

@@ -282,13 +282,13 @@ func (t *sigTable) sigOf(rec *choiceRec) int32 {
 // evaluate every live gate once (bestCut records the greedy decision and
 // the menu), commit the greedy twin, select a cover of the menus, commit
 // the selection, and return whichever result scores better under the
-// extraction objective, with its depth.
+// extraction objective.
 //
 // Effective costs probe the input through the workspace's index, never
 // through a strash of the input itself, so the input is only read: a
 // compacted graph several runs share carries no strash, and indexing it
 // in place would race.
-func (r *rewriter) runChoice() (*mig.MIG, int) {
+func (r *rewriter) runChoice() *mig.MIG {
 	// The menus need the database's alternative candidates; deriving
 	// them is Once-guarded and shared process-wide.
 	r.d.EnsureAlts()
@@ -299,7 +299,7 @@ func (r *rewriter) runChoice() (*mig.MIG, int) {
 	// Greedy twin: every live gate is decided, so the commit consumes the
 	// memo without evaluating anything.
 	r.commitGreedy()
-	gRes, gDepth := r.finish()
+	gRes := r.out.Compact()
 	gRepl := r.replacements
 
 	// The extraction commits into the same builder, emptied.
@@ -317,15 +317,15 @@ func (r *rewriter) runChoice() (*mig.MIG, int) {
 		}
 		return nil
 	})
-	xRes, xDepth := r.finish()
+	xRes := r.out.Compact()
 	r.opt.Ctx = base
 
 	// Compacted graphs hold live gates only: their sizes are gate counts.
 	gSize, xSize := gRes.NumGates(), xRes.NumGates()
 	r.choiceCount = sel.Stats.Choices
-	res, depth := gRes, gDepth
-	if obj.Better(xSize, xDepth, gSize, gDepth) {
-		res, depth = xRes, xDepth
+	res := gRes
+	if obj.Better(xSize, xRes.Depth(), gSize, gRes.Depth()) {
+		res = xRes
 		r.extractSaved = gSize - xSize
 	} else {
 		r.replacements = gRepl
@@ -334,7 +334,7 @@ func (r *rewriter) runChoice() (*mig.MIG, int) {
 	xspan.SetInt("covered", int64(sel.Stats.Covered))
 	xspan.SetInt("saved_gates", int64(r.extractSaved))
 	xspan.End()
-	return res, depth
+	return res
 }
 
 // evaluate runs bestCut for every live gate in ascending ID order inside

@@ -47,14 +47,13 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 	d := loadDB(tb)
 	ws.prepare(d, m.NumNodes())
 	r := &rewriter{
-		m:         m,
-		d:         d,
-		opt:       opt,
-		ws:        ws,
-		cuts:      ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: maxCuts}),
-		fo:        m.FanoutCounts(),
-		out:       ws.out,
-		oldLevels: m.Levels(),
+		m:    m,
+		d:    d,
+		opt:  opt,
+		ws:   ws,
+		cuts: ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: maxCuts}),
+		fo:   m.FanoutCounts(),
+		out:  ws.out,
 	}
 	r.resetOut()
 	if opt.FFR {

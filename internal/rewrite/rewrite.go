@@ -234,7 +234,6 @@ type Workspace struct {
 	best    []candidateCut // per-node best replacement (entry == nil: none)
 	decided []bool         // per-node: best[v] is valid
 	out     *mig.MIG       // the output builder, reset for every commit
-	levels  []int          // the level of every node of out
 	res     []mig.Lit      // commit phase: node implementations
 	known   []bool         // commit phase: res[v] is valid
 	stack   []mig.ID       // commit phase DFS stack
@@ -298,22 +297,19 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	}
 	ws.prepare(d, m.NumNodes())
 	r := &rewriter{
-		m:         m,
-		d:         d,
-		opt:       opt,
-		ws:        ws,
-		cuts:      ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: maxCuts}),
-		fo:        m.FanoutCounts(),
-		out:       ws.out,
-		oldLevels: m.Levels(),
-		levels:    ws.levels,
+		m:    m,
+		d:    d,
+		opt:  opt,
+		ws:   ws,
+		cuts: ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: maxCuts}),
+		fo:   m.FanoutCounts(),
+		out:  ws.out,
 	}
 	r.resetOut()
 	if opt.FFR {
 		r.ffr = m.FFRRoots(r.fo)
 	}
 	var res *mig.MIG
-	var depthAfter int
 	if opt.BottomUp {
 		// Bottom-up is evaluate-and-commit interleaved per FFR; it gets a
 		// single commit-phase span (ladders of its K = 5 variants nest here).
@@ -321,35 +317,29 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		r.opt.Ctx = cctx
 		r.runBottomUp()
 		cspan.End()
-		res, depthAfter = r.finish()
+		res = r.out.Compact()
 	} else if opt.Extract {
-		res, depthAfter = r.runChoice()
+		res = r.runChoice()
 	} else {
 		// A greedy pass evaluates lazily from the commit walk.
 		r.commitGreedy()
-		res, depthAfter = r.finish()
+		res = r.out.Compact()
 	}
-	ws.levels = r.levels
-	// Every Stats metric is computed exactly once and walks no graph: the
-	// input size counts the live gates of the fanout counts, the input
-	// depth falls out of the levels the depth heuristic already needed,
-	// the result size is the compacted result's gate count and its depth
-	// falls out of the builder's levels.
-	sizeBefore, depthBefore := 0, 0
+	// Every Stats metric walks no graph: the input size counts the live
+	// gates of the fanout counts, the result size is the compacted
+	// result's gate count, and both depths read stored output levels.
+	sizeBefore := 0
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
 		if r.fo[id] > 0 {
 			sizeBefore++
 		}
 	}
-	for _, o := range m.Outputs() {
-		depthBefore = max(depthBefore, r.oldLevels[o.ID()])
-	}
 	st := Stats{
 		Variant:      VariantName(opt),
 		SizeBefore:   sizeBefore,
 		SizeAfter:    res.NumGates(),
-		DepthBefore:  depthBefore,
-		DepthAfter:   depthAfter,
+		DepthBefore:  m.Depth(),
+		DepthAfter:   res.Depth(),
 		Replacements: r.replacements,
 		CacheHits:    r.hits,
 		CacheMisses:  r.misses,
@@ -371,9 +361,6 @@ type rewriter struct {
 	ffr  []mig.ID // FFR root per node (nil when not partitioning)
 	out  *mig.MIG // the workspace's output builder
 
-	oldLevels []int // levels in the input graph, for the depth heuristic
-
-	levels       []int // level of every node in out (maintained on creation)
 	replacements int
 	hits, misses int // 4-input lookups answered by, and added to, ws.memo
 
@@ -382,52 +369,12 @@ type rewriter struct {
 	extractSaved int
 }
 
-// resetOut empties the output builder for a commit into a graph over m's
-// inputs, keeping its storage and that of the levels.
+// resetOut empties the output builder, keeping its storage, for a
+// commit into a graph over m's inputs. Every result is a compacted copy
+// of the builder, so the builder stays the workspace's.
 func (r *rewriter) resetOut() {
 	r.out.Reset(r.m.NumPIs())
-	r.levels = r.levels[:0]
 	r.replacements = 0
-}
-
-// finish returns the compacted copy of the output builder — the builder
-// stays the workspace's — with its depth, read off the builder's levels:
-// compaction keeps every live node's fanins, so it keeps their levels.
-func (r *rewriter) finish() (*mig.MIG, int) {
-	r.growLevels()
-	depth := 0
-	for _, o := range r.out.Outputs() {
-		depth = max(depth, r.levels[o.ID()])
-	}
-	return r.out.Compact(), depth
-}
-
-// addMaj creates a majority gate in the output graph, keeping the level
-// array in sync so candidate depths are available without re-traversal.
-func (r *rewriter) addMaj(a, b, c mig.Lit) mig.Lit {
-	l := r.out.Maj(a, b, c)
-	r.growLevels()
-	return l
-}
-
-func (r *rewriter) growLevels() {
-	for len(r.levels) < r.out.NumNodes() {
-		id := mig.ID(len(r.levels))
-		lvl := 0
-		if r.out.IsGate(id) {
-			for _, ch := range r.out.Fanin(id) {
-				if l := r.levels[ch.ID()]; l >= lvl {
-					lvl = l + 1
-				}
-			}
-		}
-		r.levels = append(r.levels, lvl)
-	}
-}
-
-func (r *rewriter) level(l mig.Lit) int {
-	r.growLevels()
-	return r.levels[l.ID()]
 }
 
 // replacement is one way to rebuild a node: instantiate entry over the
@@ -528,7 +475,7 @@ func (r *rewriter) instantiate(e *db.Entry, tr transformRef, leafSigs []mig.Lit)
 	}
 	at := func(l mig.Lit) mig.Lit { return sig[l.ID()].NotIf(l.Comp()) }
 	for l, g := range e.Gates {
-		sig[1+k+l] = r.addMaj(at(g[0]), at(g[1]), at(g[2]))
+		sig[1+k+l] = r.out.Maj(at(g[0]), at(g[1]), at(g[2]))
 	}
 	return at(e.Out).NotIf(tr.negOut)
 }
@@ -571,7 +518,7 @@ func (r *rewriter) arrivalOf(e *db.Entry, tr transformRef, leaves []mig.ID) int 
 		if ld < 0 || tr.perm[j] >= len(leaves) {
 			continue // unused input or constant-padded position
 		}
-		if a := r.oldLevels[leaves[tr.perm[j]]] + ld; a > arr {
+		if a := r.m.Level(leaves[tr.perm[j]]) + ld; a > arr {
 			arr = a
 		}
 	}
@@ -638,7 +585,7 @@ func (r *rewriter) bestCut(v mig.ID) {
 				if len(cone)-int(eff) < 0 {
 					continue
 				}
-				if r.opt.DepthPreserve && r.arrivalOf(cand, rep.tr, rep.leaves) > r.oldLevels[v] {
+				if r.opt.DepthPreserve && r.arrivalOf(cand, rep.tr, rep.leaves) > r.m.Level(v) {
 					continue
 				}
 				menu = append(menu, choiceRec{replacement{leaves: rep.leaves, entry: cand, tr: rep.tr}, eff})
@@ -648,7 +595,7 @@ func (r *rewriter) bestCut(v mig.ID) {
 		if gain <= 0 {
 			return
 		}
-		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves) > r.oldLevels[v] {
+		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves) > r.m.Level(v) {
 			return
 		}
 		if best.entry == nil || gain > best.gain || (gain == best.gain && e.Depth < best.entry.Depth) {

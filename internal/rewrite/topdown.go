@@ -73,7 +73,7 @@ func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 				if !ready {
 					continue
 				}
-				res[v] = r.addMaj(
+				res[v] = r.out.Maj(
 					res[f[0].ID()].NotIf(f[0].Comp()),
 					res[f[1].ID()].NotIf(f[1].Comp()),
 					res[f[2].ID()].NotIf(f[2].Comp()))

@@ -286,8 +286,9 @@ type (
 	BatchJob = engine.Job
 	// BatchResult is the outcome of one BatchJob.
 	BatchResult = engine.Result
-	// BatchOptions tunes RunBatch (workers, the shared 5-input store and
-	// its on-disk snapshot for cross-process warm-starts).
+	// BatchOptions tunes RunBatch (workers, and the on-disk snapshot of
+	// the batch's shared 5-input store for cross-process warm-starts; the
+	// store itself is Pipeline.Exact5, or one RunBatch creates).
 	BatchOptions = engine.BatchOptions
 )
 
