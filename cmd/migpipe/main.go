@@ -79,6 +79,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,10 @@ type jsonReport struct {
 	Workers int           `json:"workers"`
 	Jobs    int           `json:"jobs"`
 	Elapsed time.Duration `json:"elapsed_ns"`
+	// PeakRSSMB is the process's peak resident set (VmHWM) in MiB when
+	// the report is written, or 0 where /proc is missing. The
+	// extract-smoke CI job prints the cold resyn-x run's figure.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 	// CacheHits/CacheMisses aggregate the 4-input lookup memo counters
 	// over every job; CacheHitRate is their ratio.
 	CacheHits    int     `json:"cache_hits"`
@@ -390,6 +395,7 @@ func main() {
 			Workers:        reportedWorkers,
 			Jobs:           len(jobs),
 			Elapsed:        elapsed,
+			PeakRSSMB:      peakRSSMiB(),
 			CacheHits:      cacheHits,
 			CacheMisses:    cacheMisses,
 			Exact5Entries:  exact5.Len(),
@@ -641,4 +647,21 @@ func effectiveWorkers(requested, jobs int) int {
 		return jobs
 	}
 	return requested
+}
+
+// peakRSSMiB returns the VmHWM line of /proc/self/status in MiB, or 0
+// where the file or the line is missing.
+func peakRSSMiB() float64 {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "VmHWM:" && f[2] == "kB" {
+			if kb, err := strconv.ParseFloat(f[1], 64); err == nil {
+				return kb / 1024
+			}
+		}
+	}
+	return 0
 }

@@ -3,7 +3,6 @@ package cut
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"mighash/internal/mig"
 )
@@ -183,22 +182,33 @@ func (o Options) withDefaults() Options {
 // its truth table (see Cut.TT).
 //
 // Enumerate allocates fresh cut sets the caller may retain; the rewrite
-// hot path reuses one arena across passes through Workspace.Enumerate.
+// hot path reuses one workspace's storage across passes through
+// Workspace.Enumerate.
 func Enumerate(m *mig.MIG, opts Options) [][]Cut {
 	return new(Workspace).Enumerate(m, opts)
 }
 
-// Workspace owns the cut-set arena of repeated enumerations: the cut sets
-// of one Enumerate call lie back to back, in node order, in one backing
-// array that is reused by the next call, so steady-state enumeration
-// allocates nothing. The sets returned by Workspace.Enumerate alias the
-// arena and are invalidated by the next Enumerate on the same Workspace;
-// a Workspace must not be used by two goroutines at once.
+// blockCuts caps the cuts of one storage block (640 KB): large enough
+// that a block change is rare, small enough that the unused part of the
+// last block stays a small share of a large graph's cuts.
+const blockCuts = 1 << 14
+
+// Workspace owns the cut storage of repeated enumerations. The cut sets
+// lie in blocks, each node's set contiguous inside one block and the
+// sets in node order, and the next Enumerate call refills the same
+// blocks, so steady-state enumeration allocates nothing. The first
+// block is sized from the first graph's node count (every node keeps at
+// least one cut) and each block added later doubles the one before, up
+// to blockCuts, so the storage exceeds the cuts kept by at most one
+// block plus the tail a set too large for its block's remainder leaves
+// there. The sets returned by Workspace.Enumerate alias the blocks and
+// are invalidated by the next Enumerate on the same Workspace; a
+// Workspace must not be used by two goroutines at once.
 type Workspace struct {
-	sets  [][]Cut
-	arena []Cut
-	off   []int // node i's set is arena[off[i]:off[i+1]]
-	buf   []Cut // the set being merged
+	sets   [][]Cut
+	blocks [][]Cut // storage; a block's length is its fill by the current call
+	cur    int     // the block being filled
+	buf    []Cut   // the set being merged
 	// Work counts of the last Enumerate, which tests pin exactly: the
 	// child-cut triples whose signature union was tested, and the merge
 	// walks of the triples that passed.
@@ -208,53 +218,66 @@ type Workspace struct {
 // NewWorkspace returns an empty enumeration workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Enumerate is the arena-backed version of the package-level Enumerate.
+// Enumerate is the block-backed version of the package-level Enumerate.
 func (w *Workspace) Enumerate(m *mig.MIG, opts Options) [][]Cut {
 	opts = opts.withDefaults()
 	n := m.NumNodes()
 	if cap(w.sets) < n {
 		w.sets = make([][]Cut, n)
-		w.off = make([]int, n+1)
 	}
 	// Every set is capped at MaxCuts plus the trivial cut, which bounds
-	// the merge buffer; the arena holds only the cuts actually kept.
+	// the merge buffer.
 	if cap(w.buf) < opts.MaxCuts+1 {
 		w.buf = make([]Cut, 0, opts.MaxCuts+1)
 	}
-	if cap(w.arena) < n {
-		w.arena = make([]Cut, 0, n) // every node keeps at least one cut
+	if len(w.blocks) == 0 {
+		w.blocks = append(w.blocks, make([]Cut, 0, min(max(n, opts.MaxCuts+1), blockCuts)))
 	}
-	sets, off, arena := w.sets[:n], w.off[:n+1], w.arena[:0]
+	for i := range w.blocks {
+		w.blocks[i] = w.blocks[i][:0]
+	}
+	w.cur = 0
+	sets := w.sets[:n]
 	w.tested, w.walks = 0, 0
 	withTT := opts.K <= 5
-	arena = append(arena, Cut{}) // constant node: the empty cut
-	off[0], off[1] = 0, len(arena)
+	sets[0] = w.keep(Cut{}) // constant node: the empty cut
 	for i := 0; i < m.NumPIs(); i++ {
 		id := m.Input(i).ID()
 		c := Cut{Sig: sigOf(id), N: 1, L: [MaxK]mig.ID{id}}
 		if withTT {
 			c.TT = ttVar0
 		}
-		arena = append(arena, c)
-		off[id+1] = len(arena)
+		sets[id] = w.keep(c)
 	}
-	set := func(l mig.Lit) []Cut { return arena[off[l.ID()]:off[l.ID()+1]] }
 	for id := m.NumPIs() + 1; id < n; id++ {
 		gid := mig.ID(id)
 		f := m.Fanin(gid)
-		merged := w.mergeSets(w.buf[:0], set(f[0]), set(f[1]), set(f[2]), f, gid, opts, withTT)
-		if len(arena)+len(merged) > cap(arena) {
-			// Double, so the copying stays linear in the final size.
-			arena = slices.Grow(arena, max(len(arena), len(merged)))
-		}
-		arena = append(arena, merged...)
-		off[id+1] = len(arena)
+		merged := w.mergeSets(w.buf[:0], sets[f[0].ID()], sets[f[1].ID()], sets[f[2].ID()], f, gid, opts, withTT)
+		sets[id] = w.keep(merged...)
 	}
-	for id := range sets {
-		sets[id] = arena[off[id]:off[id+1]:off[id+1]]
-	}
-	w.arena = arena
 	return sets
+}
+
+// keep stores a finished set after the sets before it and returns the
+// stored copy. A set that does not fit in the rest of the current block
+// starts the next one, which is added when no earlier call left one
+// large enough.
+func (w *Workspace) keep(set ...Cut) []Cut {
+	b := w.blocks[w.cur]
+	if cap(b)-len(b) < len(set) {
+		w.cur++
+		if w.cur == len(w.blocks) {
+			w.blocks = append(w.blocks, nil)
+		}
+		if cap(w.blocks[w.cur]) < len(set) {
+			w.blocks[w.cur] = make([]Cut, 0, max(min(2*cap(b), blockCuts), len(set)))
+		}
+		b = w.blocks[w.cur]
+	}
+	start := len(b)
+	b = append(b, set...)
+	w.blocks[w.cur] = b
+	return b[start:len(b):len(b)]
 }
 
 // mergeSets computes the saturating union of the three child cut sets with

@@ -223,6 +223,44 @@ func TestWorkspaceEnumerateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkspaceBlocksTrackCutsKept: the blocks of one workspace, driven
+// from a 20-gate graph to the prepared Square and back twice, hold the
+// most cuts any call kept plus at most one block and, per block, a tail
+// of at most MaxCuts cuts a set too large for it left unused. No block
+// exceeds blockCuts, and the 20-gate graph allocates no full-size block.
+func TestWorkspaceBlocksTrackCutsKept(t *testing.T) {
+	opts := Options{K: 5, MaxCuts: 24}
+	small := randomMIG(rand.New(rand.NewSource(61)), 6, 20)
+	large := prepared(t, "Square")
+	w := NewWorkspace()
+	keptMax := 0
+	for i, m := range []*mig.MIG{small, large, small, large} {
+		kept := 0
+		for _, s := range w.Enumerate(m, opts) {
+			kept += len(s)
+		}
+		keptMax = max(keptMax, kept)
+		capacity, largest := 0, 0
+		for j, b := range w.blocks {
+			capacity += cap(b)
+			largest = max(largest, cap(b))
+			if j < w.cur && cap(b)-len(b) > opts.MaxCuts {
+				t.Errorf("call %d: block %d leaves %d of %d cuts unused", i, j, cap(b)-len(b), cap(b))
+			}
+		}
+		if bound := keptMax + largest + len(w.blocks)*opts.MaxCuts; capacity > bound {
+			t.Errorf("call %d: %d blocks hold %d cuts, more than %d (%d kept at most, largest block %d)",
+				i, len(w.blocks), capacity, bound, keptMax, largest)
+		}
+		if largest > blockCuts || (i == 0 && largest == blockCuts) {
+			t.Errorf("call %d: the %d-node graph left a %d-cut block", i, m.NumNodes(), largest)
+		}
+	}
+	if len(w.blocks) < 3 {
+		t.Fatalf("the prepared Square fills %d blocks; the test needs several", len(w.blocks))
+	}
+}
+
 // mergeSetsRef is the unpruned triple loop the signature prefilters
 // replaced: every (a, b, c) triple is merged, and every merged cut gets
 // its truth table before addIrredundantRef decides whether to keep it.
@@ -323,14 +361,17 @@ func prepared(tb testing.TB, name string) *mig.MIG {
 // the cut values (Sig, TT, N, L, in order) of the unpruned reference loop,
 // over every width and under caps that make insertion order matter, on
 // random graphs and on prepared suite circuits. One workspace serves
-// every case, so arena reuse is covered too.
+// every case, so block reuse is covered too: the prepared Square's K = 5
+// sets span seven blocks, and it comes first and last, so the workspace
+// goes from a large graph to small ones and back.
 func TestEnumerateMatchesReference(t *testing.T) {
 	type tc struct {
 		name string
 		m    *mig.MIG
 		opts Options
 	}
-	var cases []tc
+	large := tc{"Square", prepared(t, "Square"), Options{K: 5, MaxCuts: 24}}
+	cases := []tc{large}
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 4; trial++ {
 		m := randomMIG(rng, 6+trial, 150)
@@ -346,6 +387,7 @@ func TestEnumerateMatchesReference(t *testing.T) {
 			cases = append(cases, tc{name, m, Options{K: k, MaxCuts: 24}})
 		}
 	}
+	cases = append(cases, large)
 	w := NewWorkspace()
 	for _, c := range cases {
 		got := w.Enumerate(c.m, c.opts)

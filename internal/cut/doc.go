@@ -26,10 +26,17 @@
 // infeasible merges before any leaf is compared: once per pair of child
 // cuts, and once per triple.
 //
+// Storage: a Workspace keeps the cut sets in blocks it refills on every
+// Enumerate call, each node's set contiguous inside one block. The first
+// block is sized from the graph's node count and later ones double up to
+// a fixed cap, so a small graph allocates small blocks and a large one
+// holds its cuts plus at most one block; steady-state enumeration is
+// allocation-free.
+//
 // Concurrency contract: enumeration only reads the MIG, so any number of
 // enumerations over one frozen graph may run in parallel — provided each
-// has its own Workspace. A Workspace owns the arena the per-node cut sets
-// live in (steady-state enumeration is allocation-free) and is strictly
-// single-goroutine. The rewriter's workspace holds one, and a pass
-// enumerates serially before any evaluation worker starts.
+// has its own Workspace. A Workspace owns the blocks the per-node cut
+// sets live in and is strictly single-goroutine. The rewriter's
+// workspace holds one, and each pass enumerates once, before it
+// evaluates any node.
 package cut

@@ -2,6 +2,7 @@ package depthopt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mighash/internal/mig"
@@ -50,10 +51,10 @@ func Optimize(m *mig.MIG, opt Options) (*mig.MIG, Stats) {
 	if limit < st.SizeBefore {
 		limit = st.SizeBefore
 	}
-	// Every rebuild pass reuses one builder, and each graph's size is
-	// known once: the input's from above, a pass result's from its gate
-	// count.
-	b := &builder{out: mig.New(m.NumPIs()), limit: limit}
+	// Every rebuild pass reuses one builder, with its scratch, and each
+	// graph's size is known once: the input's from above, a pass result's
+	// from its gate count.
+	b := &builder{out: mig.New(m.NumPIs()), limit: limit, scratch: mig.NewWorkspace()}
 	cur, size, depth := m, st.SizeBefore, st.DepthBefore
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		next := onePass(b, cur)
@@ -75,12 +76,17 @@ func Optimize(m *mig.MIG, opt Options) (*mig.MIG, Stats) {
 
 // builder tracks the output graph, whose levels are the arrival times,
 // and the size cap of the current pass. One builder serves every pass of
-// an Optimize call.
+// an Optimize call, and so do its per-node arrays.
 type builder struct {
 	out       *mig.MIG
 	limit     int  // maximum gates the pass may produce
 	remaining int  // original gates still to be rebuilt after the current one
 	critical  bool // the gate being rebuilt lies on an original critical path
+
+	scratch *mig.Workspace // fanout counts of the input, compaction of the result
+	lmap    []mig.Lit      // input node → its rebuilt signal
+	req     []int32        // criticalNodes: required level per node
+	crit    []bool         // criticalNodes: zero-slack gates
 }
 
 // allow reports whether a plan producing at most planMax gates for the
@@ -119,18 +125,27 @@ func (b *builder) innerOf(g mig.Lit) ([3]mig.Lit, bool) {
 	return f, true
 }
 
+// cleared returns s resized to n zero elements, reusing its storage when
+// it has room and growing it as append would otherwise.
+func cleared[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // onePass rebuilds m bottom-up in b, greedily minimizing each gate's
 // arrival, and returns the compacted copy of the rebuild (b keeps its
 // storage for the next pass).
 func onePass(b *builder, m *mig.MIG) *mig.MIG {
 	b.out.Reset(m.NumPIs())
 	b.remaining = 0
-	lmap := make([]mig.Lit, m.NumNodes())
+	b.lmap = cleared(b.lmap, m.NumNodes())
+	lmap := b.lmap
 	lmap[0] = mig.Const0
 	for i := 0; i < m.NumPIs(); i++ {
 		lmap[m.Input(i).ID()] = b.out.Input(i)
 	}
-	fo := m.FanoutCounts()
+	fo := m.FanoutCountsWS(b.scratch)
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
 		if fo[id] > 0 {
 			b.remaining++
@@ -139,7 +154,7 @@ func onePass(b *builder, m *mig.MIG) *mig.MIG {
 	// Zero-slack (critical) gates of the original graph: reassociation is
 	// restricted to them so the size budget is spent where depth can
 	// actually improve.
-	slack0 := criticalNodes(m, fo)
+	slack0 := b.criticalNodes(m, fo)
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
 		if fo[id] == 0 {
 			continue
@@ -156,26 +171,29 @@ func onePass(b *builder, m *mig.MIG) *mig.MIG {
 	for _, o := range m.Outputs() {
 		b.out.AddOutput(lmap[o.ID()].NotIf(o.Comp()))
 	}
-	return b.out.Compact()
+	return b.out.CompactWS(b.scratch)
 }
 
 // criticalNodes marks the gates with zero slack: level + longest path to
-// an output equals the graph depth.
-func criticalNodes(m *mig.MIG, fo []int) []bool {
-	depth := m.Depth()
-	req := make([]int, m.NumNodes())
+// an output equals the graph depth. The result is b's crit array.
+func (b *builder) criticalNodes(m *mig.MIG, fo []int) []bool {
+	n := m.NumNodes()
+	depth := int32(m.Depth())
+	b.req = cleared(b.req, n)
+	req := b.req
 	for i := range req {
 		req[i] = depth + 1 // unconstrained
 	}
 	for _, o := range m.Outputs() {
 		req[o.ID()] = depth
 	}
-	crit := make([]bool, m.NumNodes())
-	for id := m.NumNodes() - 1; id > m.NumPIs(); id-- {
+	b.crit = cleared(b.crit, n)
+	crit := b.crit
+	for id := n - 1; id > m.NumPIs(); id-- {
 		if fo[id] == 0 {
 			continue
 		}
-		if req[id] <= m.Level(mig.ID(id)) {
+		if int(req[id]) <= m.Level(mig.ID(id)) {
 			crit[id] = true
 		}
 		for _, ch := range m.Fanin(mig.ID(id)) {

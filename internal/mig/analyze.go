@@ -11,11 +11,17 @@ import "slices"
 // gate belongs to the region of its unique parent. Terminals are their own
 // roots. Dead nodes map to themselves. fo must come from FanoutCounts of
 // the same MIG.
-func (m *MIG) FFRRoots(fo []int) []ID {
-	parent := make([]ID, len(m.fanin)) // unique parent of single-fanout nodes
-	seen := make([]bool, len(m.fanin))
-	poRef := make([]bool, len(m.fanin)) // directly drives a primary output
-	var stack []ID
+func (m *MIG) FFRRoots(fo []int) []ID { return m.FFRRootsWS(new(Workspace), fo) }
+
+// FFRRootsWS is FFRRoots with every array in w's storage. The result
+// aliases w and is valid until the next FFRRootsWS on w.
+func (m *MIG) FFRRootsWS(w *Workspace, fo []int) []ID {
+	n := len(m.fanin)
+	w.parent = cleared(w.parent, n) // unique parent of single-fanout nodes
+	w.reached = cleared(w.reached, n)
+	w.poRef = cleared(w.poRef, n) // directly drives a primary output
+	parent, seen, poRef := w.parent, w.reached, w.poRef
+	stack := w.stack[:0]
 	for _, o := range m.outputs {
 		poRef[o.ID()] = true
 		if id := o.ID(); m.IsGate(id) && !seen[id] {
@@ -37,9 +43,10 @@ func (m *MIG) FFRRoots(fo []int) []ID {
 			}
 		}
 	}
-	root := make([]ID, len(m.fanin))
-	done := make([]bool, len(m.fanin))
-	var chain []ID
+	w.root = cleared(w.root, n)
+	w.done = cleared(w.done, n)
+	root, done := w.root, w.done
+	chain := stack // the emptied stack's storage
 	for id := range root {
 		// Walk the single-fanout chain upward iteratively — deep fanout-
 		// free chains (long carry chains) would otherwise recurse once per
@@ -62,6 +69,7 @@ func (m *MIG) FFRRoots(fo []int) []ID {
 			root[c], done[c] = r, true
 		}
 	}
+	w.stack = chain[:0]
 	return root
 }
 

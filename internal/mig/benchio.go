@@ -132,16 +132,26 @@ func ReadBENCH(r io.Reader) (*MIG, error) { return ReadBENCHLimit(r, -1) }
 // built graph can never exceed. The scan stops with a *SizeError on the
 // line where the count passes limit, before any graph is built. A
 // negative limit disables the check.
+//
+// ReadBENCHLimit reads all of r into one string first; a caller that
+// already holds the netlist as a string calls ParseBENCH instead.
 func ReadBENCHLimit(r io.Reader, limit int) (*MIG, error) {
 	var sb strings.Builder
 	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, err
 	}
-	if sb.Len() > math.MaxInt32 {
-		return nil, fmt.Errorf("mig: bench netlist of %d bytes exceeds the 2 GiB limit", sb.Len())
+	return ParseBENCH(sb.String(), limit)
+}
+
+// ParseBENCH is ReadBENCHLimit over a netlist held in memory. It scans
+// src in place, so refusing a netlist over the limit costs the lines up
+// to the refusing one, not a copy of src.
+func ParseBENCH(src string, limit int) (*MIG, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("mig: bench netlist of %d bytes exceeds the 2 GiB limit", len(src))
 	}
 	var n benchNetlist
-	if err := n.scan(sb.String(), limit); err != nil {
+	if err := n.scan(src, limit); err != nil {
 		return nil, err
 	}
 	return n.build()

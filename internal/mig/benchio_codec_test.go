@@ -8,6 +8,7 @@ package mig
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -269,13 +270,17 @@ func chainedMAJ(size int) string {
 	return string(b)
 }
 
-// readCost returns the time and bytes ReadBENCHLimit took on src, and
-// its error.
-func readCost(src string, limit int) (time.Duration, uint64, error) {
+// readBENCHLimit is ReadBENCHLimit over a string, shaped as ParseBENCH.
+func readBENCHLimit(src string, limit int) (*MIG, error) {
+	return ReadBENCHLimit(strings.NewReader(src), limit)
+}
+
+// parseCost returns the time and bytes parse took on src, and its error.
+func parseCost(parse func(string, int) (*MIG, error), src string, limit int) (time.Duration, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	_, err := ReadBENCHLimit(strings.NewReader(src), limit)
+	_, err := parse(src, limit)
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return elapsed, after.TotalAlloc - before.TotalAlloc, err
@@ -284,27 +289,40 @@ func readCost(src string, limit int) (time.Duration, uint64, error) {
 // TestReadBENCHLimitStopsEarly: a 16 MiB body of chained MAJ lines is
 // refused under a limit of 1000 at the line that passes it, for at most
 // a tenth of the time and a quarter of the bytes of reading it whole.
+// ParseBENCH, which the server calls with the netlist string it holds,
+// refuses it without copying the body: in under a sixteenth of its
+// bytes.
 func TestReadBENCHLimitStopsEarly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reads a 16 MiB netlist")
 	}
 	src := chainedMAJ(16<<20 - 64)
-	full, fullBytes, err := readCost(src, -1)
+	full, fullBytes, err := parseCost(readBENCHLimit, src, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited, limitedBytes := time.Duration(1<<62), uint64(0)
-	for i := 0; i < 3; i++ {
-		d, b, err := readCost(src, 1000)
+	refused := func(err error) {
+		t.Helper()
 		var se *SizeError
 		if !errors.As(err, &se) || se.Limit != 1000 || se.Inputs+se.Gates != 1001 {
 			t.Fatalf("error %v, want a *SizeError at 1001 inputs and gates", err)
 		}
+	}
+	limited, limitedBytes := time.Duration(1<<62), uint64(0)
+	for i := 0; i < 3; i++ {
+		d, b, err := parseCost(readBENCHLimit, src, 1000)
+		refused(err)
 		limited, limitedBytes = min(limited, d), b
 	}
-	t.Logf("whole read %v, %d bytes; refused under 1000: %v, %d bytes", full, fullBytes, limited, limitedBytes)
+	_, parsedBytes, err := parseCost(ParseBENCH, src, 1000)
+	refused(err)
+	t.Logf("whole read %v, %d bytes; refused under 1000: %v, %d bytes (ParseBENCH: %d bytes)",
+		full, fullBytes, limited, limitedBytes, parsedBytes)
 	if limited > full/10 || limitedBytes > fullBytes/4 {
 		t.Errorf("refusal took %v and %d bytes against %v and %d for the whole read", limited, limitedBytes, full, fullBytes)
+	}
+	if parsedBytes > uint64(len(src))/16 {
+		t.Errorf("ParseBENCH refused the %d-byte body allocating %d bytes", len(src), parsedBytes)
 	}
 }
 
@@ -327,7 +345,8 @@ func TestReadBENCHLineLimit(t *testing.T) {
 }
 
 // FuzzReadBENCH: the reader never panics, accepts exactly what the
-// reference accepts and builds the same graph, and on accepted input
+// reference accepts and builds the same graph, ParseBENCH agrees with
+// ReadBENCHLimit under every limit tried, and on accepted input
 // write→read→write is a fixpoint. The seed corpus in
 // testdata/fuzz/FuzzReadBENCH adds a cone of the prepared Adder.
 //
@@ -363,6 +382,14 @@ func FuzzReadBENCH(f *testing.F) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("error %v, reference error %v", err, refErr)
 		}
+		agree := func(limit int, m *MIG, err error) {
+			t.Helper()
+			pm, perr := ParseBENCH(src, limit)
+			if fmt.Sprint(perr) != fmt.Sprint(err) || (err == nil && textForm(pm) != textForm(m)) {
+				t.Fatalf("limit %d: ParseBENCH gives error %v, ReadBENCHLimit %v, or a different graph", limit, perr, err)
+			}
+		}
+		agree(-1, got, err)
 		if err != nil {
 			return
 		}
@@ -381,6 +408,7 @@ func FuzzReadBENCH(f *testing.F) {
 		total := len(n.inputs) + n.declared
 		for _, limit := range []int{0, total / 2, max(total-1, 0), total} {
 			lm, err := ReadBENCHLimit(strings.NewReader(src), limit)
+			agree(limit, lm, err)
 			var se *SizeError
 			switch {
 			case limit < total && !errors.As(err, &se):

@@ -48,6 +48,8 @@
 // FanoutCounts, ConeNodes, Compact, Cone, Clone, Check, WriteBENCH, …) are
 // safe to call concurrently on a graph no goroutine is mutating; this is
 // what lets the concurrent runs of a batch or a server share one input.
-// Workspace and Index are per-goroutine state: one per concurrent
-// analysis, never shared.
+// Their WS forms (ConeNodesWS, FanoutCountsWS, FFRRootsWS, CompactWS)
+// read the graph the same way and keep their per-node arrays in a
+// Workspace. Workspace and Index are per-goroutine state: one per
+// concurrent analysis, never shared.
 package mig

@@ -299,8 +299,13 @@ func (m *MIG) Depth() int {
 // pointing at the node. A gate is reachable exactly when its count is
 // positive, and all its references come from higher IDs, so one
 // descending sweep counts them.
-func (m *MIG) FanoutCounts() []int {
-	fo := make([]int, len(m.fanin))
+func (m *MIG) FanoutCounts() []int { return m.FanoutCountsWS(new(Workspace)) }
+
+// FanoutCountsWS is FanoutCounts into w's storage. The result aliases w
+// and is valid until the next FanoutCountsWS on w.
+func (m *MIG) FanoutCountsWS(w *Workspace) []int {
+	w.fo = cleared(w.fo, len(m.fanin))
+	fo := w.fo
 	for _, o := range m.outputs {
 		fo[o.ID()]++
 	}
@@ -328,18 +333,23 @@ func (m *MIG) FanoutCounts() []int {
 // node for node the graph rebuilding each gate through Maj would give.
 // A live gate's fanins are live, so its level is copied unchanged. The
 // copy's first Maj indexes it.
-func (m *MIG) Compact() *MIG { return m.compact(m.outputs) }
+func (m *MIG) Compact() *MIG { return m.CompactWS(new(Workspace)) }
+
+// CompactWS is Compact with its old-to-new ID map in w's storage; the
+// copy shares nothing with w or m.
+func (m *MIG) CompactWS(w *Workspace) *MIG { return m.compact(w, m.outputs) }
 
 // Cone returns the compacted single-output graph of output i: the gates
 // of its transitive fanin cone, copied as Compact copies them, over all
 // of m's inputs, so the cones of one graph stay input-compatible.
-func (m *MIG) Cone(i int) *MIG { return m.compact(m.outputs[i : i+1]) }
+func (m *MIG) Cone(i int) *MIG { return m.compact(new(Workspace), m.outputs[i:i+1]) }
 
 // compact is Compact of the graph whose outputs are outs.
-func (m *MIG) compact(outs []Lit) *MIG {
+func (m *MIG) compact(w *Workspace, outs []Lit) *MIG {
 	// nid maps each old node to its ID in the copy; before the copy sweep
 	// a nonzero entry only marks a live gate.
-	nid := make([]ID, len(m.fanin))
+	w.nid = cleared(w.nid, len(m.fanin))
+	nid := w.nid
 	for _, o := range outs {
 		nid[o.ID()] = 1
 	}

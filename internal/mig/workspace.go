@@ -1,11 +1,16 @@
 package mig
 
-// Workspace holds reusable, epoch-stamped scratch state for the structural
-// analyses on the rewriting hot path. ConeNodes and ConeIsReplaceable are
-// evaluated for every candidate cut of every node of every pass; backing
-// their leaf/visited sets and reference counters with per-node arrays that
-// are invalidated by bumping an epoch counter — instead of fresh
-// map[ID]bool per call — makes repeated cone analysis allocation-free.
+import "slices"
+
+// Workspace holds reusable scratch state for the structural analyses of
+// a rewriting pass. ConeNodes and ConeIsReplaceable are evaluated for
+// every candidate cut of every node of every pass; backing their
+// leaf/visited sets and reference counters with per-node arrays that are
+// invalidated by bumping an epoch counter — instead of fresh map[ID]bool
+// per call — makes repeated cone analysis allocation-free. The once-per-
+// pass analyses (FanoutCountsWS, FFRRootsWS) and the compaction of a
+// pass's result (CompactWS) keep their per-node arrays here too, so a
+// pass allocates none of them once the arrays have grown.
 //
 // A Workspace may be reused across passes and across graphs (the arrays
 // grow to the largest graph seen) but must not be shared by two goroutines
@@ -18,6 +23,22 @@ type Workspace struct {
 	ref   []int32  // cone-internal reference counts
 	order []ID     // reusable node-list result buffer
 	stack []ID     // reusable DFS stack
+
+	fo      []int  // FanoutCountsWS result
+	root    []ID   // FFRRootsWS result
+	parent  []ID   // FFRRootsWS: unique parent of single-fanout nodes
+	reached []bool // FFRRootsWS: live gate, reached from the outputs
+	poRef   []bool // FFRRootsWS: drives a primary output
+	done    []bool // FFRRootsWS: root known
+	nid     []ID   // CompactWS: old-to-new node IDs
+}
+
+// cleared returns s resized to n zero elements, reusing its storage when
+// it has room and growing it as append would otherwise.
+func cleared[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // NewWorkspace returns an empty workspace; the scratch arrays are sized on

@@ -64,7 +64,7 @@ func (r *rewriter) runBottomUp() {
 
 		// Cut replacements (Algorithm 2 lines 5–10).
 		r.eachCut(v, func(rep replacement, _ []mig.ID) {
-			r.eachCombo(rep.leaves, func(sel []candidate) {
+			r.eachCombo(rep.leaves(), func(sel []candidate) {
 				var leafSigs [5]mig.Lit
 				size := int32(rep.entry.Size())
 				for j := range sel {

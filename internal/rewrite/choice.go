@@ -29,24 +29,17 @@ import (
 // price: its size minus the gates that already exist in the input graph
 // outside the replaced cone (or simplify away on their leaf literals) —
 // the commit's structural hashing merges those for free, which is
-// precisely the sharing a greedy gain count cannot see.
+// precisely the sharing a greedy gain count cannot see. A pass records
+// one per candidate of every admissible cut of every live gate, so it is
+// kept at 32 bytes.
 type choiceRec struct {
 	replacement
 	cost int32
 }
 
-// prepareChoices sizes the per-node menu slots, keeping each slot's
-// backing array across passes.
-func (w *Workspace) prepareChoices(n int) {
-	if cap(w.choices) < n {
-		grown := make([][]choiceRec, n)
-		copy(grown, w.choices)
-		w.choices = grown
-	}
-	w.choices = w.choices[:n]
-	for i := range w.choices {
-		w.choices[i] = w.choices[i][:0]
-	}
+// menu returns node v's recorded menu.
+func (w *Workspace) menu(v mig.ID) []choiceRec {
+	return w.menus[w.menuOff[v]:w.menuOff[v+1]]
 }
 
 // effectiveCost prices cand's gates against the input graph: walking
@@ -66,7 +59,7 @@ func (r *rewriter) effectiveCost(cand *db.Entry, tr transformRef, leaves []mig.I
 	sig[0], known[0] = mig.Const0, true
 	for j := 0; j < k; j++ {
 		var leaf mig.ID
-		if p := tr.perm[j]; p < len(leaves) {
+		if p := int(tr.perm[j]); p < len(leaves) {
 			leaf = leaves[p]
 		}
 		sig[1+j] = mig.MakeLit(leaf, tr.flip>>uint(j)&1 == 1)
@@ -107,11 +100,11 @@ func (r *rewriter) effectiveCost(cand *db.Entry, tr transformRef, leaves []mig.I
 func depDelays(cand *db.Entry, tr transformRef, nLeaves int) [extract.MaxDeps]int8 {
 	var d [extract.MaxDeps]int8
 	for j := 0; j < cand.K(); j++ {
-		ld := cand.LeafDepth[j]
-		if ld < 0 || tr.perm[j] >= nLeaves {
+		ld, p := cand.LeafDepth[j], int(tr.perm[j])
+		if ld < 0 || p >= nLeaves {
 			continue
 		}
-		if p := tr.perm[j]; int8(ld) > d[p] {
+		if int8(ld) > d[p] {
 			d[p] = int8(ld)
 		}
 	}
@@ -198,8 +191,8 @@ func (t *sigTable) grow() {
 // buildGraph assembles the recorded menus into a flat choice graph:
 // per live gate, choice 0 keeps the node's original fanins (cost 1) and
 // choices 1.. are its menu in recording order, so Selection.Pick maps
-// back to ws.choices[v][pick-1]. The graph's arena is workspace-owned
-// and reused across passes.
+// back to ws.menu(v)[pick-1]. The graph's arena is workspace-owned and
+// reused across passes.
 func (r *rewriter) buildGraph() *extract.Graph {
 	m, ws := r.m, r.ws
 	ws.sigs.reset()
@@ -234,16 +227,17 @@ func (r *rewriter) buildGraph() *extract.Graph {
 				keep.N++
 			}
 			g.Arena = append(g.Arena, keep)
-			for ri := range ws.choices[v] {
-				rec := &ws.choices[v][ri]
+			menu := ws.menu(id)
+			for ri := range menu {
+				rec := &menu[ri]
 				c := extract.Choice{
 					Cost: rec.cost,
 					Ref:  int32(ri),
 					Sig:  ws.sigs.sigOf(rec),
-					N:    uint8(len(rec.leaves)),
-					DepD: depDelays(rec.entry, rec.tr, len(rec.leaves)),
+					N:    rec.cut.N,
+					DepD: depDelays(rec.entry, rec.tr, int(rec.cut.N)),
 				}
-				copy(c.Deps[:], rec.leaves)
+				copy(c.Deps[:], rec.leaves())
 				g.Arena = append(g.Arena, c)
 			}
 		}
@@ -256,7 +250,7 @@ func (r *rewriter) buildGraph() *extract.Graph {
 	if g.FFRRoot == nil {
 		// The whole-graph variants (T, TD) rewrite without regions, but
 		// the extractor's exact tree-DP refinement still works per region.
-		g.FFRRoot = m.FFRRoots(r.fo)
+		g.FFRRoot = m.FFRRootsWS(ws.scratch, r.fo)
 	}
 	return g
 }
@@ -268,10 +262,11 @@ func (r *rewriter) buildGraph() *extract.Graph {
 // assigned in recording order by the graph build.
 func (t *sigTable) sigOf(rec *choiceRec) int32 {
 	key := sigKey{entry: rec.entry}
+	leaves := rec.leaves()
 	for j := 0; j < rec.entry.K(); j++ {
 		var leaf mig.ID
-		if p := rec.tr.perm[j]; p < len(rec.leaves) {
-			leaf = rec.leaves[p]
+		if p := int(rec.tr.perm[j]); p < len(leaves) {
+			leaf = leaves[p]
 		}
 		key.lits[j] = uint32(leaf)<<1 | uint32(rec.tr.flip>>uint(j)&1)
 	}
@@ -292,14 +287,13 @@ func (r *rewriter) runChoice() *mig.MIG {
 	// The menus need the database's alternative candidates; deriving
 	// them is Once-guarded and shared process-wide.
 	r.d.EnsureAlts()
-	r.ws.prepareChoices(r.m.NumNodes())
 	r.ws.index.Reset(r.m)
 	r.evaluate()
 
 	// Greedy twin: every live gate is decided, so the commit consumes the
 	// memo without evaluating anything.
 	r.commitGreedy()
-	gRes := r.out.Compact()
+	gRes := r.out.CompactWS(r.ws.scratch)
 	gRepl := r.replacements
 
 	// The extraction commits into the same builder, emptied.
@@ -313,11 +307,11 @@ func (r *rewriter) runChoice() *mig.MIG {
 	sel := extract.Select(g, extract.Options{Objective: obj})
 	r.runTopDown(func(v mig.ID) *replacement {
 		if p := sel.Pick[v]; p > 0 {
-			return &r.ws.choices[v][p-1].replacement
+			return &r.ws.menu(v)[p-1].replacement
 		}
 		return nil
 	})
-	xRes := r.out.Compact()
+	xRes := r.out.CompactWS(r.ws.scratch)
 	r.opt.Ctx = base
 
 	// Compacted graphs hold live gates only: their sizes are gate counts.
@@ -339,7 +333,9 @@ func (r *rewriter) runChoice() *mig.MIG {
 
 // evaluate runs bestCut for every live gate in ascending ID order inside
 // the rewrite.evaluate span, so the commit walks only consume memoized
-// decisions and the extraction reads the recorded menus. r.opt.Ctx is
+// decisions and the extraction reads the recorded menus. The ascending
+// order lets every menu go back to back into ws.menus, with one offset
+// per node; terminals and dead gates get empty menus. r.opt.Ctx is
 // swapped for the span's context so on-demand ladders parent under it.
 func (r *rewriter) evaluate() {
 	base := r.opt.Ctx
@@ -349,9 +345,17 @@ func (r *rewriter) evaluate() {
 		span.End()
 		r.opt.Ctx = base
 	}()
-	for id := r.m.NumPIs() + 1; id < r.m.NumNodes(); id++ {
-		if r.fo[id] > 0 { // dead gates are never visited by the commit walks
+	ws, n := r.ws, r.m.NumNodes()
+	if cap(ws.menuOff) < n+1 {
+		ws.menuOff = make([]int32, n+1)
+	}
+	ws.menuOff = ws.menuOff[:n+1]
+	ws.menus = ws.menus[:0]
+	for id := 0; id < n; id++ {
+		ws.menuOff[id] = int32(len(ws.menus))
+		if r.m.IsGate(mig.ID(id)) && r.fo[id] > 0 { // dead gates are never visited by the commit walks
 			r.bestCut(mig.ID(id))
 		}
 	}
+	ws.menuOff[n] = int32(len(ws.menus))
 }

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mighash/internal/circuits"
 	"mighash/internal/cut"
@@ -52,12 +53,12 @@ func newBenchRewriter(tb testing.TB, m *mig.MIG, opt Options) *rewriter {
 		opt:  opt,
 		ws:   ws,
 		cuts: ws.cuts.Enumerate(m, cut.Options{K: 4, MaxCuts: maxCuts}),
-		fo:   m.FanoutCounts(),
+		fo:   m.FanoutCountsWS(ws.scratch),
 		out:  ws.out,
 	}
 	r.resetOut()
 	if opt.FFR {
-		r.ffr = m.FFRRoots(r.fo)
+		r.ffr = m.FFRRootsWS(ws.scratch, r.fo)
 	}
 	return r
 }
@@ -250,7 +251,9 @@ func TestRewriteDeterministic(t *testing.T) {
 // checks every result and its reported size and depth against a
 // fresh-state run, and re-checks the text of every earlier result after
 // each later pass, which resets and refills the workspace's builder: no
-// result may share storage with it.
+// result may share storage with it. Last, a TFx pass on a smaller graph
+// after one on a larger graph, which leaves menus, menu offsets and cut
+// blocks sized for the larger one, must match a fresh workspace's.
 func TestRewriteSharedWorkspaceSequence(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
@@ -285,6 +288,38 @@ func TestRewriteSharedWorkspaceSequence(t *testing.T) {
 				}
 			}
 			cur = got
+		}
+	}
+	for _, gates := range []int{800, 150} {
+		m := randomMIG(rng, 12, gates, 3)
+		opt := variant("TFx")
+		opt.Workspace = ws
+		got, st := Run(m, d, opt)
+		want, wst := Run(m, d, variant("TFx"))
+		if writeText(t, got) != writeText(t, want) {
+			t.Fatalf("TFx on %d gates: workspace reuse changed the result", gates)
+		}
+		if st.Choices == 0 || st.Choices != wst.Choices || st.ExtractSaved != wst.ExtractSaved || st.Replacements != wst.Replacements {
+			t.Fatalf("TFx on %d gates: reused workspace recorded %d choices, saved %d, replaced %d; fresh %d, %d, %d",
+				gates, st.Choices, st.ExtractSaved, st.Replacements, wst.Choices, wst.ExtractSaved, wst.Replacements)
+		}
+	}
+}
+
+// TestRecordLayout pins the records a pass keeps per node and per menu
+// entry at 32 bytes or less: a choice-aware pass records one choiceRec
+// per candidate of every admissible cut of every live gate.
+func TestRecordLayout(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		size uintptr
+	}{
+		{"replacement", unsafe.Sizeof(replacement{})},
+		{"choiceRec", unsafe.Sizeof(choiceRec{})},
+		{"candidateCut", unsafe.Sizeof(candidateCut{})},
+	} {
+		if r.size > 32 {
+			t.Errorf("%s is %d bytes, want at most 32", r.name, r.size)
 		}
 	}
 }

@@ -220,15 +220,17 @@ func (s Stats) String() string {
 }
 
 // Workspace owns every reusable buffer of a rewriting pass: the cut-set
-// arena, the cone-analysis scratch, the 4-input lookup memo, the
-// best-cut decision memo, the output builder and the commit-phase
-// buffers. Reusing one Workspace across passes (the engine does this per
-// pipeline run) makes the steady-state hot path allocation-free, and the
-// memo then answers the 4-input lookups of every pass of the run. A
-// Workspace must not be shared by concurrent Runs.
+// blocks, the graph-analysis scratch (fanout counts, fanout-free
+// regions, cone traversals, the compaction map), the 4-input lookup
+// memo, the best-cut decision memo, the choice-aware menus, the output
+// builder and the commit-phase buffers. Reusing one Workspace across
+// passes (the engine does this per pipeline run) makes the steady-state
+// hot path allocation-free, and the memo then answers the 4-input
+// lookups of every pass of the run. A Workspace must not be shared by
+// concurrent Runs.
 type Workspace struct {
 	cuts    cut.Workspace
-	cone    *mig.Workspace // cone-analysis scratch
+	scratch *mig.Workspace // analyses of the input, compaction of the result
 	memo    *db.Cache      // 4-input lookups, filled through d
 	d       *db.DB         // the database memo was filled through
 	best    []candidateCut // per-node best replacement (entry == nil: none)
@@ -242,7 +244,8 @@ type Workspace struct {
 	visit   []candidate    // bottom-up: the list of the node being visited
 	cands   []candidate    // bottom-up: every settled list, back to back
 	spans   []candSpan     // bottom-up: per-node list in cands
-	choices [][]choiceRec  // choice mode: per-node recorded menus
+	menus   []choiceRec    // choice mode: every node's menu, in node order
+	menuOff []int32        // choice mode: node v's menu is menus[menuOff[v]:menuOff[v+1]]
 	graph   extract.Graph  // choice mode: arena reused across passes
 	sigs    sigTable       // choice mode: duplicate-cone IDs of the graph build
 	index   mig.Index      // choice mode: the strash the input is probed through
@@ -267,8 +270,8 @@ func (w *Workspace) prepare(d *db.DB, n int) {
 	w.known = w.known[:n]
 	clear(w.best)
 	clear(w.decided)
-	if w.cone == nil {
-		w.cone = mig.NewWorkspace()
+	if w.scratch == nil {
+		w.scratch = mig.NewWorkspace()
 	}
 	if w.memo == nil || w.d != d {
 		w.d, w.memo = d, db.NewCache()
@@ -302,12 +305,12 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		opt:  opt,
 		ws:   ws,
 		cuts: ws.cuts.Enumerate(m, cut.Options{K: opt.K, MaxCuts: maxCuts}),
-		fo:   m.FanoutCounts(),
+		fo:   m.FanoutCountsWS(ws.scratch),
 		out:  ws.out,
 	}
 	r.resetOut()
 	if opt.FFR {
-		r.ffr = m.FFRRoots(r.fo)
+		r.ffr = m.FFRRootsWS(ws.scratch, r.fo)
 	}
 	var res *mig.MIG
 	if opt.BottomUp {
@@ -317,13 +320,13 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		r.opt.Ctx = cctx
 		r.runBottomUp()
 		cspan.End()
-		res = r.out.Compact()
+		res = r.out.CompactWS(ws.scratch)
 	} else if opt.Extract {
 		res = r.runChoice()
 	} else {
 		// A greedy pass evaluates lazily from the commit walk.
 		r.commitGreedy()
-		res = r.out.Compact()
+		res = r.out.CompactWS(ws.scratch)
 	}
 	// Every Stats metric walks no graph: the input size counts the live
 	// gates of the fanout counts, the result size is the compacted
@@ -357,8 +360,8 @@ type rewriter struct {
 	opt  Options
 	ws   *Workspace
 	cuts [][]cut.Cut
-	fo   []int
-	ffr  []mig.ID // FFR root per node (nil when not partitioning)
+	fo   []int    // fanout counts of m, in ws.scratch
+	ffr  []mig.ID // FFR root per node, in ws.scratch (nil when not partitioning)
 	out  *mig.MIG // the workspace's output builder
 
 	replacements int
@@ -378,13 +381,17 @@ func (r *rewriter) resetOut() {
 }
 
 // replacement is one way to rebuild a node: instantiate entry over the
-// cut leaves under transform tr. leaves aliases the cut-set arena of the
-// pass's workspace.
+// leaves of cut under transform tr. cut points into the cut-set blocks
+// of the pass's workspace. Every node's greedy decision and every menu
+// entry is one, so it is kept at 24 bytes.
 type replacement struct {
-	leaves []mig.ID
-	entry  *db.Entry
-	tr     transformRef
+	cut   *cut.Cut
+	entry *db.Entry
+	tr    transformRef
 }
+
+// leaves returns the cut leaves, which alias the cut-set blocks.
+func (rep *replacement) leaves() []mig.ID { return rep.cut.Leaves() }
 
 // candidateCut is a node's greedy decision: the replacement and the
 // gates it saves.
@@ -393,9 +400,10 @@ type candidateCut struct {
 	gain int
 }
 
-// transformRef avoids importing npn here twice; see lookup.
+// transformRef is the part of an npn.Transform instantiation reads,
+// packed: perm[j] is the cut-leaf position feeding entry input j.
 type transformRef struct {
-	perm   [5]int
+	perm   [5]uint8
 	flip   uint8
 	negOut bool
 }
@@ -423,7 +431,7 @@ func (r *rewriter) lookup(c *cut.Cut) (*db.Entry, transformRef) {
 	}
 	var tr transformRef
 	for j := 0; j < 4; j++ {
-		tr.perm[j] = t.Perm[j]
+		tr.perm[j] = uint8(t.Perm[j])
 	}
 	tr.flip = t.Flip
 	tr.negOut = t.NegOut
@@ -451,7 +459,7 @@ func (r *rewriter) lookup5(c *cut.Cut) (*db.Entry, transformRef) {
 	}
 	var tr transformRef
 	for j := 0; j < 5; j++ {
-		tr.perm[j] = t.Perm[j]
+		tr.perm[j] = uint8(t.Perm[j])
 	}
 	tr.flip = t.Flip
 	tr.negOut = t.NegOut
@@ -485,7 +493,7 @@ func (r *rewriter) instantiate(e *db.Entry, tr transformRef, leafSigs []mig.Lit)
 // returned slice aliases the workspace's cone scratch and is only valid
 // until the next cone analysis.
 func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID) ([]mig.ID, bool) {
-	nodes := r.m.ConeNodesWS(r.ws.cone, v, leaves)
+	nodes := r.m.ConeNodesWS(r.ws.scratch, v, leaves)
 	if len(nodes) == 0 {
 		return nil, false
 	}
@@ -502,7 +510,7 @@ func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID) ([]mig.ID, bool) {
 	}
 	// Whole-graph mode: exclude cuts whose internal gates have fanout that
 	// escapes the cone ("not to include them when enumerating cuts").
-	if !r.m.ConeSelfContainedWS(r.ws.cone, nodes, v, r.fo) {
+	if !r.m.ConeSelfContainedWS(r.ws.scratch, nodes, v, r.fo) {
 		return nil, false
 	}
 	return nodes, true
@@ -514,11 +522,11 @@ func (r *rewriter) coneAdmissible(v mig.ID, leaves []mig.ID) ([]mig.ID, bool) {
 func (r *rewriter) arrivalOf(e *db.Entry, tr transformRef, leaves []mig.ID) int {
 	arr := 0
 	for j := 0; j < e.K(); j++ {
-		ld := e.LeafDepth[j]
-		if ld < 0 || tr.perm[j] >= len(leaves) {
+		ld, p := e.LeafDepth[j], int(tr.perm[j])
+		if ld < 0 || p >= len(leaves) {
 			continue // unused input or constant-padded position
 		}
-		if a := r.m.Level(leaves[tr.perm[j]]) + ld; a > arr {
+		if a := r.m.Level(leaves[p]) + ld; a > arr {
 			arr = a
 		}
 	}
@@ -537,8 +545,7 @@ func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 		if c.N == 1 && c.L[0] == v {
 			continue // trivial cut: replaces nothing
 		}
-		leaves := c.Leaves()
-		cone, ok := r.coneAdmissible(v, leaves)
+		cone, ok := r.coneAdmissible(v, c.Leaves())
 		if !ok {
 			continue
 		}
@@ -546,7 +553,7 @@ func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 		if e == nil {
 			continue
 		}
-		fn(replacement{leaves: leaves, entry: e, tr: tr}, cone)
+		fn(replacement{cut: c, entry: e, tr: tr}, cone)
 	}
 }
 
@@ -556,8 +563,8 @@ func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 // the first cut winning exact ties. Only replacements that save a gate
 // are taken, and DepthPreserve drops any that would delay v.
 //
-// With Options.Extract the same loop also records v's menu in
-// ws.choices[v]: every candidate implementation of every admissible cut,
+// With Options.Extract the same loop also records v's menu, appended to
+// ws.menus: every candidate implementation of every admissible cut,
 // priced at its effective cost. A candidate whose nominal size exceeds
 // the cone is still admitted when enough of its gates already exist
 // outside the cone — greedy must skip those, but the extractor may find
@@ -572,30 +579,27 @@ func (r *rewriter) eachCut(v mig.ID, fn func(rep replacement, cone []mig.ID)) {
 func (r *rewriter) bestCut(v mig.ID) {
 	ws := r.ws
 	var best candidateCut
-	var menu []choiceRec
-	if r.opt.Extract {
-		menu = ws.choices[v][:0]
-	}
+	start := len(ws.menus)
 	r.eachCut(v, func(rep replacement, cone []mig.ID) {
 		e := rep.entry
 		if r.opt.Extract {
-			for ci := 0; ci < e.NumCandidates() && len(menu) < maxChoices; ci++ {
+			for ci := 0; ci < e.NumCandidates() && len(ws.menus)-start < maxChoices; ci++ {
 				cand := e.Candidate(ci)
-				eff := r.effectiveCost(cand, rep.tr, rep.leaves, cone)
+				eff := r.effectiveCost(cand, rep.tr, rep.leaves(), cone)
 				if len(cone)-int(eff) < 0 {
 					continue
 				}
-				if r.opt.DepthPreserve && r.arrivalOf(cand, rep.tr, rep.leaves) > r.m.Level(v) {
+				if r.opt.DepthPreserve && r.arrivalOf(cand, rep.tr, rep.leaves()) > r.m.Level(v) {
 					continue
 				}
-				menu = append(menu, choiceRec{replacement{leaves: rep.leaves, entry: cand, tr: rep.tr}, eff})
+				ws.menus = append(ws.menus, choiceRec{replacement{cut: rep.cut, entry: cand, tr: rep.tr}, eff})
 			}
 		}
 		gain := len(cone) - e.Size()
 		if gain <= 0 {
 			return
 		}
-		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves) > r.m.Level(v) {
+		if r.opt.DepthPreserve && r.arrivalOf(e, rep.tr, rep.leaves()) > r.m.Level(v) {
 			return
 		}
 		if best.entry == nil || gain > best.gain || (gain == best.gain && e.Depth < best.entry.Depth) {
@@ -604,9 +608,6 @@ func (r *rewriter) bestCut(v mig.ID) {
 	})
 	if best.entry != nil {
 		ws.best[v] = best // prepare zeroed the memo, which reads as no decision
-	}
-	if r.opt.Extract {
-		ws.choices[v] = menu
 	}
 	ws.decided[v] = true
 }

@@ -47,9 +47,10 @@ func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 			}
 			ready := true
 			if rep := pick(v); rep != nil {
-				for i := len(rep.leaves) - 1; i >= 0; i-- {
-					if !known[rep.leaves[i]] {
-						stack = append(stack, rep.leaves[i])
+				leaves := rep.leaves()
+				for i := len(leaves) - 1; i >= 0; i-- {
+					if !known[leaves[i]] {
+						stack = append(stack, leaves[i])
 						ready = false
 					}
 				}
@@ -57,10 +58,10 @@ func (r *rewriter) runTopDown(pick func(v mig.ID) *replacement) {
 					continue
 				}
 				var leafSigs [5]mig.Lit
-				for i, lf := range rep.leaves {
+				for i, lf := range leaves {
 					leafSigs[i] = res[lf]
 				}
-				res[v] = r.instantiate(rep.entry, rep.tr, leafSigs[:len(rep.leaves)])
+				res[v] = r.instantiate(rep.entry, rep.tr, leafSigs[:len(leaves)])
 				r.replacements++
 			} else {
 				f := r.m.Fanin(v)

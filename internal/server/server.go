@@ -570,7 +570,7 @@ func (s *Server) parseNetlist(netlist, format string) (*mig.MIG, error) {
 	}
 	switch format {
 	case "", "bench":
-		return mig.ReadBENCHLimit(strings.NewReader(netlist), s.cfg.MaxGates)
+		return mig.ParseBENCH(netlist, s.cfg.MaxGates)
 	case "mig":
 		return mig.ReadTextLimit(strings.NewReader(netlist), s.cfg.MaxGates)
 	default:
